@@ -77,21 +77,26 @@ _EXPECTED_ORACLE = {
 
 def parse_sequence_arg(text: str) -> list[int]:
     """Parse a comma-separated sequence with optional value^count runs,
-    e.g. '4^2,1^2' for 4,4,1,1."""
+    e.g. '4^2,1^2' for 4,4,1,1.  Raises LimitExceeded before expanding a run
+    that would take the length above MAX_INPUT."""
     out: list[int] = []
     for token in text.split(","):
         token = token.strip()
         try:
-            if "^" in token:
-                value_s, count_s = token.split("^", 1)
-                value, count = int(value_s), int(count_s)
-                if count < 1:
-                    raise ValueError
-                out.extend([value] * count)
-            else:
+            if "^" not in token:
                 out.append(int(token))
+                continue
+            value_s, count_s = token.split("^", 1)
+            value, count = int(value_s), int(count_s)
+            if count < 1:
+                raise ValueError
         except ValueError:
             raise ValueError(f"cannot parse sequence item {token!r} in {text!r}") from None
+        if len(out) + count > MAX_INPUT:
+            raise LimitExceeded(f"sequence length {len(out) + count} exceeds {MAX_INPUT}")
+        out.extend([value] * count)
+    if len(out) > MAX_INPUT:
+        raise LimitExceeded(f"sequence length {len(out)} exceeds {MAX_INPUT}")
     return out
 
 

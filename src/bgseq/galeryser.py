@@ -3,8 +3,8 @@
 ``gale_ryser`` runs the full dominance test (equal sums plus prefix sums of
 one side bounded by min-cap sums of the other, for every k).  ``zz_check``
 reaches the same verdict testing only the strong indices of the left
-sequence.  ``realize`` constructs an explicit bipartite graph for a graphic
-pair.
+sequence; both take O(len(x) + len(y)) time and memory.  ``realize``
+constructs an explicit bipartite graph for a graphic pair.
 """
 
 from __future__ import annotations
@@ -44,46 +44,38 @@ class PairVerdict:
     sums_equal: bool
 
 
+def _first_violation(x: DegreeSequence, y: DegreeSequence, strong: bool) -> PairVerdict:
+    # Smallest k, among the strong indices of x when ``strong``, with
+    # prefix_k(x) > sum_i min(k, y_i).  Zero entries need no stripping: the
+    # mask excludes the zero tail of x, and zeros of y add nothing to caps.
+    if x.total != y.total:
+        return PairVerdict(False, None, False)
+    caps = kernels.cap_sum_rows(y.values.reshape(1, -1), len(x))[0]
+    viol = np.cumsum(x.values) > caps
+    if strong:
+        viol &= kernels.boundary_mask_rows(x.values.reshape(1, -1))[0].astype(bool)
+    if viol.any():
+        return PairVerdict(False, int(np.argmax(viol)) + 1, True)
+    return PairVerdict(True, None, True)
+
+
 def gale_ryser(e: DegreeSequence, f: DegreeSequence) -> PairVerdict:
     """Full bipartite graphicality test.
 
     Graphic iff sum(e) = sum(f) and for every k = 1..len(e) the k-prefix sum
-    of e is at most sum_i min(k, f_i).  Runs in O(len(e) + len(f)) via the
-    conjugate counting trick in the kernels module.
+    of e is at most sum_i min(k, f_i).  O(len(e) + len(f)) time and memory.
     """
-    if e.total != f.total:
-        return PairVerdict(False, None, False)
-    m = len(e)
-    caps = kernels.cap_sum_rows(f.values.reshape(1, -1), m)[0]
-    prefix = np.cumsum(e.values)
-    viol = prefix > caps
-    if viol.any():
-        return PairVerdict(False, int(np.argmax(viol)) + 1, True)
-    return PairVerdict(True, None, True)
+    return _first_violation(e, f, strong=False)
 
 
 def zz_check(x: DegreeSequence, y: DegreeSequence) -> PairVerdict:
     """Strong-index graphicality test.
 
     Tests the dominance inequality only at the block boundaries of x (the
-    cumulative run lengths); agrees with ``gale_ryser`` on every pair.  Zero
-    entries are stripped first; they change neither sums nor caps.
+    cumulative run lengths of its positive entries); agrees with
+    ``gale_ryser`` on every pair.  O(len(x) + len(y)) time and memory.
     """
-    if x.total != y.total:
-        return PairVerdict(False, None, False)
-    xv = x.values[x.values > 0]
-    if xv.size == 0:
-        # Common sum is zero, so both sides are all-zero: the empty graph.
-        return PairVerdict(True, None, True)
-    yv = y.values[y.values > 0]
-    m = int(xv.size)
-    caps = kernels.cap_sum_rows(yv.reshape(1, -1), m)[0]
-    prefix = np.cumsum(xv)
-    mask = kernels.boundary_mask_rows(xv.reshape(1, -1))[0].astype(bool)
-    viol = (prefix > caps) & mask
-    if viol.any():
-        return PairVerdict(False, int(np.argmax(viol)) + 1, True)
-    return PairVerdict(True, None, True)
+    return _first_violation(x, y, strong=True)
 
 
 def last_index_shortcut(y: DegreeSequence, m: int) -> bool:

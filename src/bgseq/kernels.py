@@ -1,19 +1,15 @@
-"""Array kernels for the exhaustive oracle.
+"""Array kernels for the exhaustive oracle and the single-pair tests.
 
-The oracle scans every (left, right) pair of a class; over a full grid sweep
-that means tens of millions of dominance checks, so the inner loops run on
-whole matrices of sequences at once.  The kernels are numba-jitted by
-default; set ``BGSEQ_NO_NUMBA=1`` (or run without numba installed) to select
-the pure-numpy fallbacks.  The numpy implementations stay importable either
-way so the two paths can be benchmarked against each other.
-
-Matrix conventions: one sequence per row, entries decreasing left to right,
-dtype int64.  All k indices reported to callers are 1-based.
+Matrix conventions: one sequence per row, entries nonnegative and decreasing
+left to right, dtype int64.  All k indices reported to callers are 1-based.
+For a rows x width matrix, ``prefix_sum_rows`` and ``boundary_mask_rows``
+take O(rows * width) time and ``cap_sum_rows`` O(rows * (width + kmax)) time
+and memory.  ``scan_pairs`` takes O(nl * nr * width) time in the worst case;
+it compares blocks of left rows with every right row at once, the blocks
+sized so that rows * nr * width <= ``SCAN_BLOCK_CELLS`` (one row at least).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -23,164 +19,73 @@ __all__ = [
     "cap_sum_rows",
     "boundary_mask_rows",
     "scan_pairs",
-    "cap_sum_rows_numpy",
-    "boundary_mask_rows_numpy",
-    "scan_pairs_numpy",
 ]
+
+# numpy is the only backend; the flag stays for callers that report it.
+USING_NUMBA = False
+
+SCAN_BLOCK_CELLS = 1 << 21
 
 
 def prefix_sum_rows(seqs: np.ndarray) -> np.ndarray:
-    """Row-wise prefix sums (same code on both backends)."""
+    """Row-wise prefix sums."""
     return np.cumsum(seqs, axis=1, dtype=np.int64)
 
 
-def cap_sum_rows_numpy(seqs: np.ndarray, kmax: int) -> np.ndarray:
-    """For each row y, T[k-1] = sum_i min(k, y_i) for k = 1..kmax."""
-    rows, width = seqs.shape
-    out = np.empty((rows, kmax), dtype=np.int64)
-    if rows == 0 or kmax == 0:
-        return out
-    ks = np.arange(1, kmax + 1, dtype=np.int64)
-    # T is the running total over k of "entries >= k"; chunk the broadcast so
-    # the intermediate stays around a few MB regardless of row count.
-    chunk = max(1, (1 << 21) // max(1, kmax * width))
-    for lo in range(0, rows, chunk):
-        hi = min(rows, lo + chunk)
-        ge = (seqs[lo:hi, None, :] >= ks[None, :, None]).sum(axis=2)
-        np.cumsum(ge, axis=1, out=out[lo:hi])
-    return out
+def cap_sum_rows(seqs: np.ndarray, kmax: int) -> np.ndarray:
+    """For each row y, T[k-1] = sum_i min(k, y_i) for k = 1..kmax.
+
+    T is the running sum over t = 1..k of #{i : y_i >= t}, a reversed running
+    sum of the histogram of min(y_i, kmax); one bincount with a per-row
+    offset builds every row's histogram."""
+    rows = seqs.shape[0]
+    clipped = np.minimum(seqs, kmax)
+    clipped += (np.arange(rows, dtype=np.int64) * (kmax + 1))[:, None]
+    hist = np.bincount(clipped.ravel(), minlength=rows * (kmax + 1)).reshape(rows, kmax + 1)
+    at_least = np.cumsum(hist[:, :0:-1], axis=1)[:, ::-1]
+    return np.cumsum(at_least, axis=1, dtype=np.int64)
 
 
-def boundary_mask_rows_numpy(seqs: np.ndarray) -> np.ndarray:
+def boundary_mask_rows(seqs: np.ndarray) -> np.ndarray:
     """Strong-index mask per row: position k (1-based) is set when a run of
     equal positive values ends there.  Trailing zero entries carry no
     indices; an all-zero row has an empty mask."""
-    rows, width = seqs.shape
-    m_eff = (seqs > 0).sum(axis=1)  # positives form a prefix of each row
-    idx = np.arange(width, dtype=np.int64)
-    within = idx[None, :] < m_eff[:, None]
-    last = idx[None, :] == m_eff[:, None] - 1
-    drop = np.zeros((rows, width), dtype=bool)
-    if width > 1:
-        drop[:, :-1] = seqs[:, :-1] > seqs[:, 1:]
-    return (within & (last | drop)).astype(np.uint8)
+    # With a zero appended to each row, a run of positive values ends exactly
+    # where an entry exceeds its successor; zero entries never do.
+    nxt = np.zeros_like(seqs)
+    nxt[:, :-1] = seqs[:, 1:]
+    return (seqs > nxt).astype(np.uint8)
 
 
-def scan_pairs_numpy(
-    prefix_l: np.ndarray,
-    mask_l: np.ndarray,
-    caps_r: np.ndarray,
-    spot_stride: int,
-) -> tuple[int, int, int, int]:
+def scan_pairs(prefix_l: np.ndarray, mask_l: np.ndarray, caps_r: np.ndarray,
+               spot_stride: int) -> tuple[int, int, int, int]:
     """Scan all pairs in row-major order using the strong-index test.
 
     Returns (i, j, k, disagreements) for the first failing pair, with k the
     smallest violated strong index of left row i against right row j, or
     (-1, -1, -1, disagreements) when every pair passes.  Every
-    ``spot_stride``-th scanned pair is re-tested with the full dominance
-    check (all k, not just strong indices); ``disagreements`` counts verdict
-    mismatches between the two tests and must come back 0.
+    ``spot_stride``-th pair, from pair 0 up to the first failure, is
+    re-tested with the full dominance check (all k, not just strong indices);
+    ``disagreements`` counts verdict mismatches and must come back 0.
     """
     nl, width = prefix_l.shape
     nr = caps_r.shape[0]
-    disagreements = 0
     masks = mask_l.astype(bool)
-    for i in range(nl):
-        viol = caps_r < prefix_l[i]
-        fail = viol & masks[i]
-        has = fail.any(axis=1)
-        j0 = int(np.argmax(has)) if has.any() else -1
-        stop = nr if j0 < 0 else j0 + 1
+    block = max(1, SCAN_BLOCK_CELLS // max(1, nr * width))
+    disagreements = 0
+    for lo in range(0, nl, block):
+        fail = caps_r[None, :, :] < prefix_l[lo : lo + block, None, :]
+        fail &= masks[lo : lo + block, None, :]
+        has = fail.any(axis=2).ravel()
+        hit = int(np.argmax(has)) if has.any() else -1
         if spot_stride > 0:
-            first = (-(i * nr)) % spot_stride
-            js = np.arange(first, stop, spot_stride)
-            if js.size:
-                gr_fail = viol[js].any(axis=1)
-                disagreements += int(np.count_nonzero(gr_fail != has[js]))
-        if j0 >= 0:
-            k = int(np.argmax(fail[j0])) + 1
-            return i, j0, k, disagreements
+            stop = has.size if hit < 0 else hit + 1
+            spots = np.arange((-(lo * nr)) % spot_stride, stop, spot_stride)
+            rows, cols = np.divmod(spots, nr)
+            full = (caps_r[cols] < prefix_l[lo + rows]).any(axis=1)
+            disagreements += int(np.count_nonzero(full != has[spots]))
+        if hit >= 0:
+            bi, j = divmod(hit, nr)
+            k = int(np.argmax(fail[bi, j])) + 1
+            return lo + bi, j, k, disagreements
     return -1, -1, -1, disagreements
-
-
-USING_NUMBA = False
-_disabled = os.environ.get("BGSEQ_NO_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}
-
-if not _disabled:
-    try:
-        import numba
-    except ImportError:
-        numba = None
-
-    if numba is not None:
-
-        @numba.njit(cache=True)
-        def cap_sum_rows_jit(seqs, kmax):  # pragma: no cover - exercised via cap_sum_rows
-            rows, width = seqs.shape
-            out = np.empty((rows, kmax), dtype=np.int64)
-            for r in range(rows):
-                ptr = width
-                while ptr > 0 and seqs[r, ptr - 1] < 1:
-                    ptr -= 1
-                acc = np.int64(0)
-                for k in range(1, kmax + 1):
-                    while ptr > 0 and seqs[r, ptr - 1] < k:
-                        ptr -= 1
-                    acc += ptr
-                    out[r, k - 1] = acc
-            return out
-
-        @numba.njit(cache=True)
-        def boundary_mask_rows_jit(seqs):  # pragma: no cover
-            rows, width = seqs.shape
-            out = np.zeros((rows, width), dtype=np.uint8)
-            for r in range(rows):
-                m_eff = 0
-                for t in range(width):
-                    if seqs[r, t] > 0:
-                        m_eff += 1
-                    else:
-                        break
-                for t in range(m_eff):
-                    if t == m_eff - 1 or seqs[r, t] > seqs[r, t + 1]:
-                        out[r, t] = 1
-            return out
-
-        @numba.njit(cache=True)
-        def scan_pairs_jit(prefix_l, mask_l, caps_r, spot_stride):  # pragma: no cover
-            nl, width = prefix_l.shape
-            nr = caps_r.shape[0]
-            disagreements = 0
-            for i in range(nl):
-                for j in range(nr):
-                    k_fail = 0
-                    for t in range(width):
-                        if mask_l[i, t] != 0 and prefix_l[i, t] > caps_r[j, t]:
-                            k_fail = t + 1
-                            break
-                    if spot_stride > 0 and (i * nr + j) % spot_stride == 0:
-                        gr_fail = False
-                        for t in range(width):
-                            if prefix_l[i, t] > caps_r[j, t]:
-                                gr_fail = True
-                                break
-                        if gr_fail != (k_fail > 0):
-                            disagreements += 1
-                    if k_fail > 0:
-                        return i, j, k_fail, disagreements
-            return -1, -1, -1, disagreements
-
-        USING_NUMBA = True
-
-if USING_NUMBA:
-    cap_sum_rows = cap_sum_rows_jit
-    boundary_mask_rows = boundary_mask_rows_jit
-
-    def scan_pairs(prefix_l, mask_l, caps_r, spot_stride):
-        i, j, k, disagreements = scan_pairs_jit(prefix_l, mask_l, caps_r, spot_stride)
-        return int(i), int(j), int(k), int(disagreements)
-
-else:
-    cap_sum_rows = cap_sum_rows_numpy
-    boundary_mask_rows = boundary_mask_rows_numpy
-    scan_pairs = scan_pairs_numpy

@@ -1,10 +1,15 @@
 """Pair tests: full dominance check, strong-index check, realization."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from bgseq import (
+    MAX_INPUT,
     DegreeSequence,
     NotGraphic,
+    PairVerdict,
     gale_ryser,
     last_index_shortcut,
     min_cap_sum,
@@ -101,6 +106,27 @@ class TestZZCheck:
                 continue
             k = verdict.failing_k
             assert sum(list(x)[:k]) > min_cap_sum(y, k)
+
+
+class TestLargePairs:
+    def test_gale_ryser_memory_is_linear(self):
+        e = DegreeSequence(np.arange(8000, 0, -1, dtype=np.int64))
+        tracemalloc.start()
+        try:
+            assert gale_ryser(e, e).sums_equal
+            assert tracemalloc.get_traced_memory()[1] <= 1 << 20
+        finally:
+            tracemalloc.stop()
+
+    def test_verdicts_at_max_input(self):
+        ones = DegreeSequence(np.ones(MAX_INPUT, dtype=np.int64))
+        assert gale_ryser(ones, ones).graphic and zz_check(ones, ones).graphic
+        # Degree 3 against two right vertices fails at k = 1; strong index 2.
+        left, right = np.zeros((2, MAX_INPUT), dtype=np.int64)
+        left[:2], left[2 : MAX_INPUT - 4], right[:2] = 3, 1, MAX_INPUT // 2
+        e, f = DegreeSequence(left), DegreeSequence(right)
+        assert gale_ryser(e, f) == PairVerdict(False, 1, True)
+        assert zz_check(e, f) == PairVerdict(False, 2, True)
 
 
 class TestLastIndexShortcut:

@@ -1,7 +1,5 @@
-"""Kernel backends: numpy fallback and jitted path must agree exactly."""
-
-import subprocess
-import sys
+"""Array kernels: cap tables, strong-index masks and the blocked pair scan,
+each against a direct definition."""
 
 import numpy as np
 import pytest
@@ -20,23 +18,18 @@ def random_decreasing_matrix(rng, rows, width, max_val, allow_zero=True):
 class TestCapSums:
     def test_matches_definition(self):
         rng = np.random.default_rng(0)
-        seqs = random_decreasing_matrix(rng, 40, 9, 12)
-        kmax = 15
-        caps = kernels.cap_sum_rows(seqs, kmax)
-        for r in range(seqs.shape[0]):
-            for k in range(1, kmax + 1):
-                assert caps[r, k - 1] == int(np.minimum(seqs[r], k).sum())
-
-    def test_backends_agree(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            rows = int(rng.integers(0, 30))
-            width = int(rng.integers(1, 12))
-            seqs = random_decreasing_matrix(rng, rows, width, 10)
-            kmax = int(rng.integers(1, 15))
-            got = kernels.cap_sum_rows(seqs, kmax)
-            want = kernels.cap_sum_rows_numpy(seqs, kmax)
-            assert np.array_equal(got, want)
+        cases = [(np.zeros((0, 5), dtype=np.int64), 4), (np.zeros((3, 4), dtype=np.int64), 6)]
+        for _ in range(60):
+            rows, width = int(rng.integers(0, 12)), int(rng.integers(1, 10))
+            seqs = random_decreasing_matrix(rng, rows, width, int(rng.integers(0, 13)))
+            seqs[rng.random(rows) < 0.2] = 0
+            cases += [(seqs, k) for k in (0, int(rng.integers(1, 12)), int(seqs.max(initial=0)) + 3)]
+        for seqs, kmax in cases:
+            caps = kernels.cap_sum_rows(seqs, kmax)
+            assert caps.shape == (seqs.shape[0], kmax)
+            for r in range(seqs.shape[0]):
+                for k in range(1, kmax + 1):
+                    assert caps[r, k - 1] == int(np.minimum(seqs[r], k).sum())
 
 
 class TestBoundaryMask:
@@ -58,13 +51,6 @@ class TestBoundaryMask:
         assert mask[1].tolist() == [1, 1, 0]
         assert mask[2].tolist() == [0, 0, 1]
 
-    def test_backends_agree(self):
-        rng = np.random.default_rng(3)
-        seqs = random_decreasing_matrix(rng, 50, 10, 7)
-        assert np.array_equal(
-            kernels.boundary_mask_rows(seqs), kernels.boundary_mask_rows_numpy(seqs)
-        )
-
 
 def class_tables(params: ClassParams):
     lefts = _side_matrix(params.a, params.b, params.m, params.S)
@@ -73,6 +59,33 @@ def class_tables(params: ClassParams):
     mask = kernels.boundary_mask_rows(lefts)
     caps = kernels.cap_sum_rows(rights, params.m)
     return lefts, rights, prefix, mask, caps
+
+
+def dense_scan(prefix, mask, caps, stride):
+    """The scan without blocks: first failing pair of the full comparison in
+    row-major order, and spot disagreements among pairs 0, stride, ... up to it."""
+    nr, width = caps.shape
+    viol = (caps[None] < prefix[:, None]).reshape(-1, width)
+    fail = viol & np.repeat(mask.astype(bool), nr, axis=0)
+    has = fail.any(axis=1)
+    hit = int(np.argmax(has)) if has.any() else -1
+    spots = np.arange(0, has.size if hit < 0 else hit + 1, stride) if stride else np.arange(0)
+    disagreements = int(np.count_nonzero(viol[spots].any(axis=1) != has[spots]))
+    first = (*divmod(hit, nr), int(np.argmax(fail[hit])) + 1) if hit >= 0 else (-1, -1, -1)
+    return (*first, disagreements)
+
+
+def synthetic_tables(rng, nl, nr, width, first_bad):
+    """Rows before ``first_bad`` pass (entries <= 3 against rights >= 3, for
+    width >= 3); later rows have entries up to 4*width, and every other one,
+    from ``first_bad`` on, loses its mask so the spot checks disagree."""
+    lefts = random_decreasing_matrix(rng, nl, width, 3, allow_zero=False)
+    lefts[first_bad:] = random_decreasing_matrix(rng, nl - first_bad, width, 4 * width)
+    rights = random_decreasing_matrix(rng, nr, width, width)
+    np.maximum(rights, 3, out=rights)
+    mask = kernels.boundary_mask_rows(lefts)
+    mask[first_bad::2] = 0
+    return kernels.prefix_sum_rows(lefts), mask, kernels.cap_sum_rows(rights, width)
 
 
 SCAN_CASES = [
@@ -85,10 +98,11 @@ SCAN_CASES = [
 
 
 class TestScanPairs:
+    @pytest.mark.parametrize("stride", [0, 1, 3, 1000])
     @pytest.mark.parametrize("params", SCAN_CASES, ids=str)
-    def test_matches_scalar_reference(self, params):
+    def test_matches_scalar_reference(self, params, stride):
         lefts, rights, prefix, mask, caps = class_tables(params)
-        i, j, k, disagreements = kernels.scan_pairs(prefix, mask, caps, 1)
+        i, j, k, disagreements = kernels.scan_pairs(prefix, mask, caps, stride)
         assert disagreements == 0
 
         expected = (-1, -1, -1)
@@ -105,30 +119,37 @@ class TestScanPairs:
                 break
         assert (i, j, k) == expected
 
-    @pytest.mark.parametrize("params", SCAN_CASES, ids=str)
-    def test_backends_agree(self, params):
-        _, _, prefix, mask, caps = class_tables(params)
-        for stride in (0, 1, 3, 1000):
-            got = tuple(kernels.scan_pairs(prefix, mask, caps, stride))
-            want = tuple(kernels.scan_pairs_numpy(prefix, mask, caps, stride))
-            assert got == want
+    def test_matches_dense_reference_across_blocks(self):
+        nr, width = 50, 10
+        late = 2 * (kernels.SCAN_BLOCK_CELLS // (nr * width)) + 7  # in the third block
+        prefix, mask, caps = synthetic_tables(np.random.default_rng(4), late + 3000, nr, width, late)
+        got = {stride: kernels.scan_pairs(prefix, mask, caps, stride) for stride in (0, 1, 997)}
+        assert got == {stride: dense_scan(prefix, mask, caps, stride) for stride in got}
+        assert got[0][0] > late and got[1][3] > 0
+        passing = prefix[:late], mask[:late], caps
+        assert kernels.scan_pairs(*passing, 997) == dense_scan(*passing, 997) == (-1, -1, -1, 0)
+
+    def test_matches_dense_reference_with_small_blocks(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        for cells in (1, 7, 40, 300):
+            monkeypatch.setattr(kernels, "SCAN_BLOCK_CELLS", cells)
+            for _ in range(40):
+                nl, nr, width = (int(v) for v in rng.integers(1, 30, size=3))
+                prefix, mask, caps = synthetic_tables(
+                    rng, nl, nr, width, first_bad=int(rng.integers(0, nl + 1))
+                )
+                for stride in (0, 1, 3, 11):
+                    want = dense_scan(prefix, mask, caps, stride)
+                    assert kernels.scan_pairs(prefix, mask, caps, stride) == want
 
     def test_spot_check_sees_no_disagreement(self):
         for params in SCAN_CASES:
             _, _, prefix, mask, caps = class_tables(params)
             assert kernels.scan_pairs(prefix, mask, caps, 1)[3] == 0
 
-
-class TestBackendSelection:
-    def test_env_flag_forces_numpy(self):
-        code = (
-            "import os; os.environ['BGSEQ_NO_NUMBA'] = '1'; "
-            "import bgseq.kernels as k; print(k.USING_NUMBA)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "False"
-
-    def test_default_backend_reported(self):
-        assert isinstance(kernels.USING_NUMBA, bool)
+    def test_spot_check_catches_dropped_strong_index(self):
+        _, _, prefix, mask, caps = class_tables(SCAN_CASES[0])
+        i, _, k, _ = kernels.scan_pairs(prefix, mask, caps, 1)
+        broken = mask.copy()
+        broken[i, k - 1] = 0
+        assert kernels.scan_pairs(prefix, broken, caps, 1)[3] > 0

@@ -1,5 +1,8 @@
 """Sequence validation, block form, min-cap sums, and class arithmetic."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,6 +24,7 @@ from bgseq import (
     to_blocks,
     validate_sequence,
 )
+from bgseq.cli import EXIT_INVALID, parse_sequence_arg
 from bgseq.enumeration import _walk
 from bgseq.seqcore import _side_nonempty
 
@@ -61,6 +65,20 @@ class TestValidateSequence:
     def test_limit_enforced(self):
         with pytest.raises(LimitExceeded):
             DegreeSequence([MAX_INPUT + 1])
+
+    @pytest.mark.parametrize("text", [f"1^{MAX_INPUT + 1}", f"1^{MAX_INPUT},1", "3^99999999999"])
+    def test_run_length_bounded_before_expanding(self, text):
+        with pytest.raises(LimitExceeded):
+            parse_sequence_arg(text)
+
+    def test_run_length_at_bound_accepted(self):
+        assert len(parse_sequence_arg(f"2^{MAX_INPUT - 1},1")) == MAX_INPUT
+
+    def test_huge_run_exits_invalid_without_traceback(self):
+        argv = ["check-pair", "--left", "3^99999999999", "--right", "1"]
+        proc = subprocess.run([sys.executable, "-m", "bgseq.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_INVALID and "Traceback" not in proc.stderr
 
 
 class TestDegreeSequence:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .criterion import (
     DegenerateClass,
     EmptyClass,
-    HypothesisViolation,
     Verdict,
     canonical_pair,
     decompose,
@@ -389,11 +388,18 @@ def cmd_check_class(args) -> int:
     return VERDICT_EXIT[report.verdict]
 
 
+def _sum_range(a: int, b: int, c: int, d: int, m: int, n: int) -> range:
+    """s_range, refused with LimitExceeded when its sums pass MAX_INPUT, so
+    that no caller starts iterating a range it cannot finish."""
+    span = s_range(a, b, c, d, m, n)
+    if span and span[-1] > MAX_INPUT:
+        raise LimitExceeded(f"sums up to {span[-1]} exceed the supported bound {MAX_INPUT}")
+    return span
+
+
 def cmd_sweep(args) -> int:
     try:
-        span = s_range(args.a, args.b, args.c, args.d, args.m, args.n)
-        if span and span[-1] > MAX_INPUT:
-            raise LimitExceeded(f"sums up to {span[-1]} exceed the supported bound {MAX_INPUT}")
+        span = _sum_range(args.a, args.b, args.c, args.d, args.m, args.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -472,14 +478,14 @@ def cmd_realize(args) -> int:
 def cmd_symmetric(args) -> int:
     try:
         holds = symmetric_sufficient(args.a, args.b, args.m)
-    except HypothesisViolation as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     lhs, rhs = 4 * args.m * args.b, (args.a + args.b) ** 2 - 1
     failures: list[int] = []
     if args.full:
         try:
-            for S in s_range(args.a, args.b, args.a, args.b, args.m, args.m):
+            for S in _sum_range(args.a, args.b, args.a, args.b, args.m, args.m):
                 params = ClassParams(args.a, args.b, args.a, args.b, args.m, args.m, S)
                 if theorem_main(params).verdict is Verdict.NOT_ALL_GRAPHIC:
                     failures.append(S)
@@ -572,8 +578,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first main() call and reused for the rest of the process.
+# build_parser() itself still returns a fresh parser on every call.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     return args.func(args)
 
 

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import ClassParams, DegreeSequence, _side_nonempty, class_nonempty
+from .seqcore import (
+    MAX_INPUT,
+    ClassParams,
+    DegreeSequence,
+    LimitExceeded,
+    _side_nonempty,
+    class_nonempty,
+)
 
 __all__ = [
     "DegenerateClass",
@@ -273,4 +280,6 @@ def symmetric_sufficient(a: int, b: int, m: int) -> bool:
         raise HypothesisViolation("requires a >= b")
     if m < a:
         raise HypothesisViolation("requires m >= a")
+    if m > MAX_INPUT:
+        raise LimitExceeded(f"parameters must not exceed {MAX_INPUT}")
     return 4 * m * b >= (a + b) ** 2 - 1

@@ -15,7 +15,7 @@ import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -41,6 +41,10 @@ __all__ = [
 
 DEFAULT_ORACLE_BUDGET = 10**7
 BUDGET_ENV = "BGSEQ_ORACLE_BUDGET"
+
+# Side counts that take more steps than this are first bounded from below,
+# so that a class far above the oracle budget is refused quickly.
+EXACT_COUNT_STEPS = 1 << 20
 
 # Every 1000th scanned pair is re-tested with the full dominance check.
 SPOT_STRIDE = 1000
@@ -99,21 +103,30 @@ def _walk(A: int, B: int, L: int, S: int) -> Iterator[tuple[int, ...]]:
     if mid == 0:
         yield (A, B)
         return
+    # Odometer over the middle entries: fill every position from `i` on with
+    # its largest feasible value, emit, then step the deepest position that
+    # is still above its smallest feasible value down by one.
     buf = [0] * mid
-
-    def rec(i: int, rem: int) -> Iterator[tuple[int, ...]]:
-        if i == mid:
-            yield (A, *buf, B)
+    low = [0] * mid
+    rem = [0] * (mid + 1)  # rem[j]: what positions j.. must sum to
+    rem[0] = target
+    i = 0
+    while True:
+        for j in range(i, mid):
+            slots = mid - j
+            r = rem[j]
+            buf[j] = min(buf[j - 1] if j else A, r - B * (slots - 1))
+            low[j] = max(B, -(-r // slots))
+            rem[j + 1] = r - buf[j]
+        yield (A, *buf, B)
+        j = mid - 1
+        while j >= 0 and buf[j] == low[j]:
+            j -= 1
+        if j < 0:
             return
-        slots = mid - i
-        prev = buf[i - 1] if i else A
-        hi = min(prev, rem - B * (slots - 1))
-        lo = max(B, -(-rem // slots))
-        for v in range(hi, lo - 1, -1):
-            buf[i] = v
-            yield from rec(i + 1, rem - v)
-
-    yield from rec(0, target)
+        buf[j] -= 1
+        rem[j + 1] += 1
+        i = j + 1
 
 
 def enum_sequences(A: int, B: int, L: int, S: int) -> Iterator[DegreeSequence]:
@@ -137,27 +150,53 @@ def enum_class(params: ClassParams) -> Iterator[tuple[DegreeSequence, DegreeSequ
             yield (e, f)
 
 
-@cache
-def _bounded_partition_count(total: int, parts: int, limit: int) -> int:
-    # Partitions of `total` into at most `parts` parts, each in [1, limit].
-    if total == 0:
-        return 1
-    if total < 0 or parts == 0 or limit == 0 or total > parts * limit:
-        return 0
-    return _bounded_partition_count(total, parts, limit - 1) + _bounded_partition_count(
-        total - limit, parts - 1, limit
-    )
+def _box_partitions(parts: int, size: int, total: int) -> int:
+    # Partitions of `total` into at most `parts` parts, each at most `size`:
+    # the coefficient of q^total in the Gaussian binomial
+    # [parts + size choose size]_q, multiplied out from its product formula
+    # prod_{i=1..k} (1 - q^(K+i)) / (1 - q^i), k = min(parts, size),
+    # K = max(parts, size), truncated above q^total.  O(k * total) int steps.
+    k, K = min(parts, size), max(parts, size)
+    coeffs = [1] + [0] * total
+    for i in range(1, k + 1):
+        step = K + i
+        for t in range(total, step - 1, -1):
+            coeffs[t] -= coeffs[t - step]
+        for t in range(i, total + 1):
+            coeffs[t] += coeffs[t - i]
+    return coeffs[total]
 
 
-def _count_side(A: int, B: int, L: int, S: int) -> int:
+def _count_side(A: int, B: int, L: int, S: int, cap: int | None = None) -> int | None:
+    """Number of decreasing length-L sequences with max A, min B and sum S.
+
+    With ``cap``, returns None as soon as that number is known to exceed
+    ``cap``, without finishing the count."""
     if L == 1:
         return 1 if A == B == S else 0
     if A < B:
         return 0
     # Fixed first entry A and last entry B; shift the L-2 middle entries down
-    # by B and count bounded partitions of what remains.
-    shifted = S - A - B - (L - 2) * B
-    return _bounded_partition_count(shifted, L - 2, A - B) if shifted >= 0 else 0
+    # by B and count the partitions of what remains that fit an
+    # (L-2) x (A-B) box.
+    parts, size = L - 2, A - B
+    total = S - A - B - parts * B
+    if total < 0 or total > parts * size:
+        return 0
+    # The box counts are symmetric about parts*size/2, and no partition of
+    # `total` has more than `total` parts or a part above `total`.
+    total = min(total, parts * size - total)
+    parts, size = min(parts, total), min(size, total)
+    if cap is None or min(parts, size) * total <= EXACT_COUNT_STEPS:
+        return _box_partitions(parts, size, total)
+    # The box counts also rise up to the middle (Sylvester), so the count at
+    # any t <= total is a lower bound: stop once one passes the cap.
+    t = 64
+    while t < total:
+        if _box_partitions(parts, size, t) > cap:
+            return None
+        t *= 4
+    return _box_partitions(parts, size, total)
 
 
 def count_class(params: ClassParams) -> int:
@@ -213,11 +252,19 @@ def brute_force_all_graphic(params: ClassParams, budget: int | None = None) -> C
     kernel, spot-validating a deterministic 1-in-1000 subsample against the
     full dominance test.  Refuses classes above the pair budget.
     """
-    size = count_class(params)
     limit = oracle_budget() if budget is None else operator.index(budget)
-    if size > limit:
+    left = _count_side(params.a, params.b, params.m, params.S, cap=limit)
+    right = _count_side(params.c, params.d, params.n, params.S, cap=limit)
+    if left == 0 or right == 0:
+        size = 0
+    elif left is None or right is None:
+        size = None  # known only to exceed the budget
+    else:
+        size = left * right
+    if size is None or size > limit:
+        held = f"more than {limit}" if size is None else size
         raise OracleBudgetExceeded(
-            f"class holds {size} pairs, above the oracle budget {limit}; "
+            f"class holds {held} pairs, above the oracle budget {limit}; "
             f"set {BUDGET_ENV} or pass an explicit budget to override"
         )
     if size == 0:

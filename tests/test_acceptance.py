@@ -1,14 +1,16 @@
 """Acceptance suite: every criterion at its stated scale, zero tolerance.
 
-The parameter grid (maxima, minima and lengths up to 6, every compatible sum)
-is driven once through the CLI with --verify and the results are shared by
-the criteria that need them.  Each test prints one PASS line; run with
+The parameter grid (maxima, minima and lengths up to 6, minima at least 1,
+every compatible sum) is driven once through the CLI with --verify and the
+results are shared by the criteria that need them; its zero-minimum classes
+get their own pass.  Each test prints one PASS line; run with
 ``pytest tests/test_acceptance.py -v -s`` to see them.
 """
 
 import contextlib
 import io
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from bgseq import (
     theorem_main,
     zz_check,
 )
-from bgseq.cli import SweepRow, main, sweep_header
+from bgseq.cli import VERDICT_EXIT, SweepRow, main, sweep_header
 from bgseq.enumeration import OracleVerdict, _left_tables, _right_caps
 from helpers import all_decreasing, grid_params, random_graphic_pairs, random_pair_corpus
 
@@ -230,3 +232,27 @@ def test_08_cli_contract(grid_results):
     for line, row in zip(json_out.strip().splitlines(), json_rows):
         assert row.to_json() == line
     print("ACCEPTANCE 8 CLI contract: PASS")
+
+
+def test_09_zero_minimum_classes():
+    # The grid again with minima of 0 allowed: every class with b = 0 or
+    # d = 0, each through the CLI with --verify.
+    codes = Counter()
+    for params in grid_params(GRID_LIMIT, min_floor=0):
+        if params.b and params.d:
+            continue
+        code, out = run_cli(
+            "check-class",
+            "-a", str(params.a), "-b", str(params.b),
+            "-c", str(params.c), "-d", str(params.d),
+            "-m", str(params.m), "-n", str(params.n),
+            "-S", str(params.S),
+            "--verify", "--json",
+        )
+        obj = json.loads(out)
+        assert obj["oracle_agrees"] is True, params
+        assert (obj["verdict"] == "vacuous") == (not obj["nonempty"]), params
+        assert code == VERDICT_EXIT[Verdict(obj["verdict"])], params
+        codes[code] += 1
+    assert codes == {0: 2132, 1: 3077, 4: 7236}
+    print(f"ACCEPTANCE 9 zero-minimum classes: PASS ({sum(codes.values())} classes)")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import bgseq.cli as cli
 from bgseq.cli import (
     EXIT_INVALID,
     EXIT_NEGATIVE,
@@ -151,6 +152,33 @@ class TestCheckClass:
         assert code == EXIT_INVALID
         assert "budget" in err
 
+    def test_long_one_pair_class_verifies(self, capsys):
+        code, out, err = run(
+            capsys, "check-class", "-a", "2", "-b", "1", "-c", "2", "-d", "1",
+            "-m", "1200", "-n", "1200", "-S", "1202", "--verify",
+        )
+        assert code == EXIT_OK
+        assert "oracle: all-graphic (agrees: yes)" in out
+        assert err == ""
+
+    def test_long_sides_refused_by_budget(self, capsys):
+        code, out, err = run(
+            capsys, "check-class", "-a", "9", "-b", "1", "-c", "9", "-d", "1",
+            "-m", "2000", "-n", "2000", "-S", "6000", "--verify",
+        )
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: class holds 5909315676511283487743996994583225 pairs")
+        assert "budget" in err
+
+    def test_far_above_budget_refused_with_bound(self, capsys):
+        code, _, err = run(
+            capsys, "check-class", "-a", "1026", "-b", "0", "-c", "1026", "-d", "0",
+            "-m", "1026", "-n", "1026", "-S", "524288", "--verify",
+        )
+        assert code == EXIT_INVALID
+        assert "more than 10000000 pairs, above the oracle budget" in err
+
     def test_exit_table_is_verdict_driven(self):
         assert VERDICT_EXIT[Verdict.ALL_GRAPHIC] == EXIT_OK
         assert VERDICT_EXIT[Verdict.NOT_ALL_GRAPHIC] == EXIT_NEGATIVE
@@ -198,6 +226,15 @@ class TestSweep:
         )
         assert code == EXIT_INVALID
         assert "a >= b" in err
+
+    def test_sums_above_bound(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "-a", "1048576", "-b", "0", "-c", "1048576", "-d", "0",
+            "-m", "1048576", "-n", "1048576",
+        )
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "exceed the supported bound" in err
 
     def test_verify_column(self, capsys):
         code, out, _ = run(
@@ -321,6 +358,20 @@ class TestSymmetric:
         assert code == EXIT_INVALID
         assert "a >= b" in err
 
+    def test_parameters_above_bound(self, capsys):
+        code, out, err = run(capsys, "symmetric", "-a", "99999999999", "-b", "5",
+                             "-m", "99999999999")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "must not exceed" in err
+
+    def test_full_sums_above_bound(self, capsys):
+        code, out, err = run(capsys, "symmetric", "-a", "1048576", "-b", "0",
+                             "-m", "1048576", "--full")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "exceed the supported bound" in err
+
     def test_json(self, capsys):
         code, out, _ = run(
             capsys, "symmetric", "-a", "4", "-b", "1", "-m", "4", "--full", "--json"
@@ -341,3 +392,83 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as err:
             main(["check-pair", "--left", "2,2"])
         assert err.value.code == EXIT_INVALID
+
+
+class TestParseOnce:
+    """main() builds its parser on the first call and reuses it."""
+
+    def test_main_builds_parser_once(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_parser", None)
+        build = cli.build_parser
+        builds = []
+
+        def counting_build():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for _ in range(3):
+            assert run(capsys, "check-pair", "--left", "2,2", "--right", "2,2")[0] == EXIT_OK
+        assert run(capsys, "symmetric", "-a", "4", "-b", "1", "-m", "4")[0] == EXIT_NEGATIVE
+        assert len(builds) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_parse_args_wrapper_is_not_stacked(self, monkeypatch, capsys):
+        # A wrapper that replaces parse_args on every parser build_parser
+        # returns, as a tracer would: more calls than the recursion limit
+        # must not nest it once per call.
+        monkeypatch.setattr(cli, "_parser", None)
+        build = cli.build_parser
+
+        def wrapping_build():
+            parser = build()
+            parse = parser.parse_args
+
+            def wrapped(*args, **kwargs):
+                return parse(*args, **kwargs)
+
+            parser.parse_args = wrapped
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", wrapping_build)
+        for _ in range(2000):
+            assert main(["symmetric", "-a", "2", "-b", "1", "-m", "3"]) == EXIT_OK
+        capsys.readouterr()
+
+    def test_realize_flag_does_not_carry_over(self, capsys):
+        code, out, _ = run(capsys, "check-pair", "--left", "2,2", "--right", "2,2", "--realize")
+        assert code == EXIT_OK and len(out.splitlines()) == 5
+        code, out, _ = run(capsys, "check-pair", "--left", "2,2", "--right", "2,2")
+        assert code == EXIT_OK
+        assert out == "graphic\n"
+
+    def test_strict_flag_does_not_carry_over(self, capsys):
+        code, _, err = run(capsys, "check-pair", "--left", "1,2", "--right", "2,1", "--strict")
+        assert code == EXIT_INVALID and "decreasing" in err
+        code, out, err = run(capsys, "check-pair", "--left", "1,2", "--right", "2,1")
+        assert code == EXIT_OK
+        assert "left sequence was sorted" in err
+        assert out == "graphic\n"
+
+    def test_verify_flag_does_not_carry_over(self, capsys):
+        args = ["check-class", "-a", "4", "-b", "1", "-c", "4", "-d", "1",
+                "-m", "4", "-n", "4", "-S", "10", "--json"]
+        code, out, _ = run(capsys, *args, "--verify")
+        assert code == EXIT_NEGATIVE and json.loads(out)["oracle_agrees"] is True
+        code, out, _ = run(capsys, *args)
+        assert code == EXIT_NEGATIVE
+        assert not [key for key in json.loads(out) if key.startswith("oracle_")]
+
+    def test_argument_error_does_not_poison_next_call(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["check-class", "-a", "2", "-b", "1", "-c", "2", "-d", "1", "-m", "3", "-n", "3"])
+        assert err.value.code == EXIT_INVALID
+        assert "-S" in capsys.readouterr().err
+        code, out, _ = run(
+            capsys, "check-class", "-a", "2", "-b", "1", "-c", "2", "-d", "1",
+            "-m", "3", "-n", "3", "-S", "3",
+        )
+        assert code == EXIT_VACUOUS
+        assert "vacuous" in out

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bgseq import (
+    MAX_INPUT,
     BadExtremes,
     Branch,
     ClassParams,
@@ -13,6 +14,7 @@ from bgseq import (
     EmptyClass,
     HypothesisViolation,
     LengthMismatch,
+    LimitExceeded,
     OracleVerdict,
     Verdict,
     brute_force_all_graphic,
@@ -276,6 +278,11 @@ class TestSymmetricSufficient:
             symmetric_sufficient(5, 1, 4)
         with pytest.raises(HypothesisViolation):
             symmetric_sufficient(2, -1, 4)
+
+    def test_limit(self):
+        assert not symmetric_sufficient(MAX_INPUT, 0, MAX_INPUT)
+        with pytest.raises(LimitExceeded):
+            symmetric_sufficient(MAX_INPUT, 5, MAX_INPUT + 1)
 
     def test_consistent_with_criterion_small(self):
         for m in range(1, 8):

@@ -1,5 +1,6 @@
 """Class generation, counting, and the brute-force oracle."""
 
+import random
 from itertools import combinations_with_replacement
 
 import pytest
@@ -16,6 +17,7 @@ from bgseq import (
     enum_sequences,
     min_cap_sum,
 )
+import bgseq.enumeration as enumeration
 from bgseq.enumeration import BUDGET_ENV, _count_side, oracle_budget
 from helpers import grid_params
 
@@ -66,6 +68,11 @@ class TestEnumSequences:
                             if t and t[0] == A and t[-1] == B and sum(t) == S
                         }
                         assert set(tuples(enum_sequences(A, B, L, S))) == want
+
+    def test_long_side_does_not_recurse(self):
+        # One sequence: a single 2 among 1,198 middle entries of 1.
+        out = tuples(enum_sequences(2, 1, 1200, 1202))
+        assert out == [(2, 2) + (1,) * 1198]
 
     def test_no_duplicates(self):
         out = tuples(enum_sequences(5, 1, 6, 18))
@@ -119,13 +126,41 @@ class TestCountClass:
         assert count_class(ClassParams(*params)) == expected
 
     def test_side_count_matches_generator_exhaustive(self):
-        for A in range(0, 6):
+        for A in range(0, 8):
             for B in range(0, A + 1):
-                for L in range(1, 6):
+                for L in range(1, 9):
                     for S in range(0, A * L + 1):
                         assert _count_side(A, B, L, S) == len(
                             list(enum_sequences(A, B, L, S))
                         ), (A, B, L, S)
+
+    def test_capped_count_is_exact_or_above_cap(self, monkeypatch):
+        # Force the lower-bound route even for small sides.
+        monkeypatch.setattr(enumeration, "EXACT_COUNT_STEPS", 0)
+        rng = random.Random(7)
+        stopped = 0
+        for _ in range(2000):
+            A = rng.randint(0, 40)
+            B = rng.randint(0, A)
+            L = rng.randint(1, 40)
+            S = rng.randint(0, A * L)
+            exact = _count_side(A, B, L, S)
+            cap = rng.choice([0, 10, 1000, 10**6, 10**12, exact, max(exact - 1, 0)])
+            got = _count_side(A, B, L, S, cap=cap)
+            if got is None:
+                assert exact > cap, (A, B, L, S, cap)
+                stopped += 1
+            else:
+                assert got == exact, (A, B, L, S, cap)
+        assert stopped > 100
+
+    def test_long_sides(self):
+        assert count_class(ClassParams(2, 1, 2, 1, 1200, 1200, 1202)) == 1
+        # Partitions of 3,992 into at most 8 parts, minus those with a part
+        # above 1,998 (a part of 1,999 + r leaves r <= 1,993 for the other 7).
+        assert _count_side(9, 1, 2000, 6000) == 76872073450059115
+        assert _count_side(9, 1, 2000, 6000, cap=10**7) > 10**7
+        assert _count_side(1026, 0, 1026, 1 << 19, cap=10**7) is None
 
     def test_pair_count_matches_generator(self):
         for params in grid_params(5):
@@ -176,6 +211,11 @@ class TestBudget:
     def test_explicit_budget_allows(self):
         witness = brute_force_all_graphic(ClassParams(4, 1, 4, 1, 4, 4, 10), budget=4)
         assert witness.verdict is OracleVerdict.FOUND_NON_GRAPHIC
+
+    def test_refuses_far_above_budget(self):
+        params = ClassParams(1026, 0, 1026, 0, 1026, 1026, 1 << 19)
+        with pytest.raises(OracleBudgetExceeded, match="more than 100 pairs"):
+            brute_force_all_graphic(params, budget=100)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV, "3")

@@ -13,17 +13,15 @@ import json
 import sys
 from dataclasses import dataclass
 
+from . import criterion
 from .criterion import (
-    DegenerateClass,
     EmptyClass,
     Verdict,
-    canonical_pair,
     decompose,
     symmetric_sufficient,
     theorem_main,
 )
 from .enumeration import (
-    ClassWitness,
     OracleBudgetExceeded,
     OracleVerdict,
     brute_force_all_graphic,
@@ -113,6 +111,10 @@ def format_runs(seq: DegreeSequence) -> str:
     return ",".join(parts)
 
 
+def _dumps(obj: dict) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
 SWEEP_FIELDS = ("a", "b", "c", "d", "m", "n", "S", "nonempty", "r", "s", "p", "q", "lhs", "rhs", "verdict")
 
 
@@ -139,68 +141,29 @@ class SweepRow:
     oracle_agrees: bool | None = None
 
     def to_csv(self) -> str:
-        cells = [_csv_cell(getattr(self, name)) for name in SWEEP_FIELDS]
-        if self.oracle_agrees is not None:
-            cells.append(_csv_cell(self.oracle_agrees))
-        return ",".join(cells)
+        names = _row_fields(self.oracle_agrees is not None)
+        return ",".join(_csv_cell(getattr(self, name)) for name in names)
 
     @classmethod
     def from_csv(cls, line: str, verify: bool = False) -> "SweepRow":
         cells = line.rstrip("\n").split(",")
-        expected = len(SWEEP_FIELDS) + (1 if verify else 0)
-        if len(cells) != expected:
-            raise ValueError(f"expected {expected} cells, got {len(cells)}")
-        values = dict(zip(SWEEP_FIELDS, cells))
-        return cls(
-            a=int(values["a"]),
-            b=int(values["b"]),
-            c=int(values["c"]),
-            d=int(values["d"]),
-            m=int(values["m"]),
-            n=int(values["n"]),
-            S=int(values["S"]),
-            nonempty=_csv_bool(values["nonempty"]),
-            r=_csv_opt_int(values["r"]),
-            s=_csv_opt_int(values["s"]),
-            p=_csv_opt_int(values["p"]),
-            q=_csv_opt_int(values["q"]),
-            lhs=_csv_opt_int(values["lhs"]),
-            rhs=_csv_opt_int(values["rhs"]),
-            verdict=values["verdict"],
-            oracle_agrees=_csv_bool(cells[-1]) if verify else None,
-        )
+        names = _row_fields(verify)
+        if len(cells) != len(names):
+            raise ValueError(f"expected {len(names)} cells, got {len(cells)}")
+        return cls(**{name: _cell_value(cell) for name, cell in zip(names, cells)})
 
     def to_json(self) -> str:
         obj = {}
-        for name in SWEEP_FIELDS:
+        for name in _row_fields(True):
             value = getattr(self, name)
             if value is not None:
                 obj[name] = value
-        if self.oracle_agrees is not None:
-            obj["oracle_agrees"] = self.oracle_agrees
-        return json.dumps(obj, separators=(",", ":"))
+        return _dumps(obj)
 
     @classmethod
     def from_json(cls, line: str) -> "SweepRow":
         obj = json.loads(line)
-        return cls(
-            a=obj["a"],
-            b=obj["b"],
-            c=obj["c"],
-            d=obj["d"],
-            m=obj["m"],
-            n=obj["n"],
-            S=obj["S"],
-            nonempty=obj["nonempty"],
-            r=obj.get("r"),
-            s=obj.get("s"),
-            p=obj.get("p"),
-            q=obj.get("q"),
-            lhs=obj.get("lhs"),
-            rhs=obj.get("rhs"),
-            verdict=obj["verdict"],
-            oracle_agrees=obj.get("oracle_agrees"),
-        )
+        return cls(**{name: obj.get(name) for name in _row_fields(True)})
 
 
 def _csv_cell(value) -> str:
@@ -211,21 +174,25 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _csv_bool(cell: str) -> bool:
-    if cell == "true":
-        return True
-    if cell == "false":
-        return False
-    raise ValueError(f"expected true/false, got {cell!r}")
+def _cell_value(cell: str):
+    # Inverse of _csv_cell: an empty cell is an absent field; the verdict is
+    # the only text cell, so anything not boolean or integer is kept as text.
+    if cell == "":
+        return None
+    if cell in ("true", "false"):
+        return cell == "true"
+    try:
+        return int(cell)
+    except ValueError:
+        return cell
 
 
-def _csv_opt_int(cell: str) -> int | None:
-    return int(cell) if cell else None
+def _row_fields(verify: bool) -> tuple[str, ...]:
+    return SWEEP_FIELDS + (("oracle_agrees",) if verify else ())
 
 
 def sweep_header(verify: bool) -> str:
-    fields = SWEEP_FIELDS + (("oracle_agrees",) if verify else ())
-    return ",".join(fields)
+    return ",".join(_row_fields(verify))
 
 
 def build_sweep_row(params: ClassParams, report, oracle_agrees: bool | None = None) -> SweepRow:
@@ -258,44 +225,72 @@ def _load_sequence(text: str, side: str, strict: bool) -> DegreeSequence:
     return seq
 
 
+def _load_pair(args):
+    """Both sequences of check-pair/realize and their Gale-Ryser verdict."""
+    e = _load_sequence(args.left, "left", args.strict)
+    f = _load_sequence(args.right, "right", args.strict)
+    return e, f, gale_ryser(e, f)
+
+
+def _verdict_line(verdict) -> str:
+    if verdict.graphic:
+        return "graphic"
+    if not verdict.sums_equal:
+        return "not graphic, sums differ"
+    return f"not graphic, failing k={verdict.failing_k}"
+
+
+def _pair_object(e: DegreeSequence, f: DegreeSequence, verdict) -> dict:
+    obj = {
+        "left": list(e),
+        "right": list(f),
+        "graphic": verdict.graphic,
+        "sums_equal": verdict.sums_equal,
+    }
+    if verdict.failing_k is not None:
+        obj["failing_k"] = verdict.failing_k
+    return obj
+
+
+def _edges(e: DegreeSequence, f: DegreeSequence) -> list[list[int]]:
+    return [list(edge) for edge in sorted(realize(e, f).edges)]
+
+
+def _print_edges(edges: list[list[int]]) -> None:
+    for u, v in edges:
+        print(f"{u} {v}")
+
+
 def _params_from_args(args) -> ClassParams:
     return ClassParams(a=args.a, b=args.b, c=args.c, d=args.d, m=args.m, n=args.n, S=args.S)
 
 
 def cmd_check_pair(args) -> int:
-    try:
-        e = _load_sequence(args.left, "left", args.strict)
-        f = _load_sequence(args.right, "right", args.strict)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    verdict = gale_ryser(e, f)
-    edges = None
-    if verdict.graphic and args.realize:
-        edges = sorted(realize(e, f).edges)
+    e, f, verdict = _load_pair(args)
+    edges = _edges(e, f) if verdict.graphic and args.realize else None
     if args.json:
-        obj = {
-            "left": list(e),
-            "right": list(f),
-            "graphic": verdict.graphic,
-            "sums_equal": verdict.sums_equal,
-        }
-        if verdict.failing_k is not None:
-            obj["failing_k"] = verdict.failing_k
+        obj = _pair_object(e, f, verdict)
         if edges is not None:
-            obj["edges"] = [list(edge) for edge in edges]
-        print(json.dumps(obj, separators=(",", ":")))
+            obj["edges"] = edges
+        print(_dumps(obj))
     else:
-        if verdict.graphic:
-            print("graphic")
-        elif not verdict.sums_equal:
-            print("not graphic, sums differ")
-        else:
-            print(f"not graphic, failing k={verdict.failing_k}")
+        print(_verdict_line(verdict))
         if edges is not None:
-            for u, v in edges:
-                print(f"{u} {v}")
+            _print_edges(edges)
     return EXIT_OK if verdict.graphic else EXIT_NEGATIVE
+
+
+def cmd_realize(args) -> int:
+    e, f, verdict = _load_pair(args)
+    if not verdict.graphic:
+        print(_dumps(_pair_object(e, f, verdict)) if args.json else _verdict_line(verdict))
+        return EXIT_NEGATIVE
+    edges = _edges(e, f)
+    if args.json:
+        print(_dumps({"edges": edges}))
+    else:
+        _print_edges(edges)
+    return EXIT_OK
 
 
 def _run_oracle(params: ClassParams, report, budget: int | None):
@@ -305,19 +300,13 @@ def _run_oracle(params: ClassParams, report, budget: int | None):
 
 
 def cmd_check_class(args) -> int:
-    try:
-        params = _params_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    params = _params_from_args(args)
     report = theorem_main(params)
     witness = agrees = None
     if args.verify:
-        try:
-            witness, agrees = _run_oracle(params, report, args.budget)
-        except (OracleBudgetExceeded, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+        witness, agrees = _run_oracle(params, report, args.budget)
+    # Only the general branch prints the canonical pair, and only it builds one.
+    pair = criterion.canonical_pair(params) if report.decomposition is not None else None
 
     if args.json:
         obj = {
@@ -342,8 +331,8 @@ def cmd_check_class(args) -> int:
                 min_term=report.min_term,
                 min_term_argument=report.min_term_argument,
             )
-            obj["E"] = list(report.canonical.E)
-            obj["F"] = list(report.canonical.F)
+            obj["E"] = list(pair.E)
+            obj["F"] = list(pair.F)
         if witness is not None:
             obj["oracle_verdict"] = witness.verdict.value
             obj["oracle_agrees"] = agrees
@@ -353,7 +342,7 @@ def cmd_check_class(args) -> int:
                     "right": list(witness.witness.right),
                     "failing_k": witness.witness.failing_k,
                 }
-        print(json.dumps(obj, separators=(",", ":")))
+        print(_dumps(obj))
     else:
         print(f"class P(a={params.a}, b={params.b}, c={params.c}, d={params.d}, "
               f"m={params.m}, n={params.n}, S={params.S})")
@@ -368,8 +357,8 @@ def cmd_check_class(args) -> int:
                 f"rhs = S + r*s + min_term = {report.rhs}; "
                 f"min term '{report.min_term_argument}' = {report.min_term}"
             )
-            print(f"canonical pair: E = {format_runs(report.canonical.E)}  "
-                  f"F = {format_runs(report.canonical.F)}")
+            print(f"canonical pair: E = {format_runs(pair.E)}  "
+                  f"F = {format_runs(pair.F)}")
         if witness is not None:
             line = f"oracle: {witness.verdict.value} (agrees: {'yes' if agrees else 'NO'})"
             if witness.witness is not None:
@@ -388,53 +377,32 @@ def cmd_check_class(args) -> int:
     return VERDICT_EXIT[report.verdict]
 
 
-def _sum_range(a: int, b: int, c: int, d: int, m: int, n: int) -> range:
-    """s_range, refused with LimitExceeded when its sums pass MAX_INPUT, so
-    that no caller starts iterating a range it cannot finish."""
-    span = s_range(a, b, c, d, m, n)
-    if span and span[-1] > MAX_INPUT:
-        raise LimitExceeded(f"sums up to {span[-1]} exceed the supported bound {MAX_INPUT}")
-    return span
+def _sweep_row(params: ClassParams, verify: bool, budget: int | None) -> SweepRow:
+    report = theorem_main(params)
+    agrees = _run_oracle(params, report, budget)[1] if verify else None
+    return build_sweep_row(params, report, agrees)
 
 
 def cmd_sweep(args) -> int:
-    try:
-        span = _sum_range(args.a, args.b, args.c, args.d, args.m, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    span = s_range(args.a, args.b, args.c, args.d, args.m, args.n)
+    rows = (_sweep_row(ClassParams(args.a, args.b, args.c, args.d, args.m, args.n, S),
+                       args.verify, args.budget) for S in span)
+    if args.verify:
+        # Every oracle run must succeed before the first line is printed, so
+        # a class above the budget leaves stdout empty rather than truncated.
+        rows = list(rows)
     as_json = args.format == "json"
     if not as_json:
         print(sweep_header(args.verify))
-    for S in span:
-        params = ClassParams(args.a, args.b, args.c, args.d, args.m, args.n, S)
-        report = theorem_main(params)
-        agrees = None
-        if args.verify:
-            try:
-                _, agrees = _run_oracle(params, report, args.budget)
-            except (OracleBudgetExceeded, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_INVALID
-        row = build_sweep_row(params, report, agrees)
+    for row in rows:
         print(row.to_json() if as_json else row.to_csv())
     return EXIT_OK
 
 
 def cmd_canonical(args) -> int:
-    try:
-        params = _params_from_args(args)
-        dec = decompose(params)
-        pair = canonical_pair(params)
-    except (DegenerateClass,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except EmptyClass as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VACUOUS
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    params = _params_from_args(args)
+    dec = decompose(params)
+    pair = criterion.canonical_pair(params)
     if args.json:
         obj = {
             "r": dec.r,
@@ -444,7 +412,7 @@ def cmd_canonical(args) -> int:
             "E": list(pair.E),
             "F": list(pair.F),
         }
-        print(json.dumps(obj, separators=(",", ":")))
+        print(_dumps(obj))
     else:
         print(f"decomposition: r={dec.r} s={dec.s} p={dec.p} q={dec.q}")
         print(f"E = {format_runs(pair.E)}")
@@ -452,51 +420,20 @@ def cmd_canonical(args) -> int:
     return EXIT_OK
 
 
-def cmd_realize(args) -> int:
-    try:
-        e = _load_sequence(args.left, "left", args.strict)
-        f = _load_sequence(args.right, "right", args.strict)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    verdict = gale_ryser(e, f)
-    if not verdict.graphic:
-        if verdict.sums_equal:
-            print(f"not graphic, failing k={verdict.failing_k}")
-        else:
-            print("not graphic, sums differ")
-        return EXIT_NEGATIVE
-    edges = sorted(realize(e, f).edges)
-    if args.json:
-        print(json.dumps({"edges": [list(edge) for edge in edges]}, separators=(",", ":")))
-    else:
-        for u, v in edges:
-            print(f"{u} {v}")
-    return EXIT_OK
-
-
 def cmd_symmetric(args) -> int:
-    try:
-        holds = symmetric_sufficient(args.a, args.b, args.m)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    holds = symmetric_sufficient(args.a, args.b, args.m)
     lhs, rhs = 4 * args.m * args.b, (args.a + args.b) ** 2 - 1
     failures: list[int] = []
     if args.full:
-        try:
-            for S in _sum_range(args.a, args.b, args.a, args.b, args.m, args.m):
-                params = ClassParams(args.a, args.b, args.a, args.b, args.m, args.m, S)
-                if theorem_main(params).verdict is Verdict.NOT_ALL_GRAPHIC:
-                    failures.append(S)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+        for S in s_range(args.a, args.b, args.a, args.b, args.m, args.m):
+            params = ClassParams(args.a, args.b, args.a, args.b, args.m, args.m, S)
+            if theorem_main(params).verdict is Verdict.NOT_ALL_GRAPHIC:
+                failures.append(S)
     if args.json:
         obj = {"a": args.a, "b": args.b, "m": args.m, "holds": holds, "lhs": lhs, "rhs": rhs}
         if args.full:
             obj["not_all_graphic_S"] = failures
-        print(json.dumps(obj, separators=(",", ":")))
+        print(_dumps(obj))
     else:
         state = "holds" if holds else "fails"
         print(f"condition 4*m*b >= (a+b)^2 - 1: {state} ({lhs} vs {rhs})")
@@ -588,7 +525,13 @@ def main(argv: list[str] | None = None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OracleBudgetExceeded) as exc:
+        # The one exception-to-exit-code table of every command: an empty
+        # class is vacuous, anything else the input asked for is invalid.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VACUOUS if isinstance(exc, EmptyClass) else EXIT_INVALID
 
 
 def console_main() -> None:

@@ -121,7 +121,6 @@ class CriterionReport:
     min_term: int | None = None
     min_term_argument: str | None = None
     decomposition: CanonicalDecomposition | None = None
-    canonical: CanonicalPair | None = None
 
 
 def _split(high: int, low: int, length: int, total: int) -> tuple[int, int]:
@@ -189,14 +188,14 @@ def theorem_main(params: ClassParams) -> CriterionReport:
     Empty classes get the explicit verdict VACUOUS rather than a vacuously
     true ALL_GRAPHIC from the inequality.  When a = b or c = d one side is
     forced constant and the class is always all-graphic; otherwise the
-    closed-form inequality on (r, s, p, q) decides.
+    closed-form inequality on (r, s, p, q) decides.  O(1): only the seven
+    parameters are read; the canonical pair comes from ``canonical_pair``.
     """
     if not class_nonempty(params):
         return CriterionReport(Verdict.VACUOUS)
     if params.a == params.b or params.c == params.d:
         return CriterionReport(Verdict.ALL_GRAPHIC, Branch.DEGENERATE_EQUAL_EXTREMES)
     dec = decompose(params)
-    pair = canonical_pair(params)
     r, s, p, q = dec.r, dec.s, dec.p, dec.q
     b, d = params.b, params.d
     lhs = params.a * r + params.c * s
@@ -213,7 +212,6 @@ def theorem_main(params: ClassParams) -> CriterionReport:
         min_term=min_term,
         min_term_argument=argument,
         decomposition=dec,
-        canonical=pair,
     )
 
 

@@ -12,7 +12,6 @@ shares no code path with ``theorem_main``.
 from __future__ import annotations
 
 import operator
-import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -30,17 +29,14 @@ __all__ = [
     "WitnessPair",
     "ClassWitness",
     "DEFAULT_ORACLE_BUDGET",
-    "BUDGET_ENV",
     "SPOT_STRIDE",
     "enum_sequences",
     "enum_class",
     "count_class",
     "brute_force_all_graphic",
-    "oracle_budget",
 ]
 
 DEFAULT_ORACLE_BUDGET = 10**7
-BUDGET_ENV = "BGSEQ_ORACLE_BUDGET"
 
 # Side counts that take more steps than this are first bounded from below,
 # so that a class far above the oracle budget is refused quickly.
@@ -234,17 +230,6 @@ def _right_caps(A: int, B: int, L: int, S: int, kmax: int) -> np.ndarray:
     return caps
 
 
-def oracle_budget() -> int:
-    """Pair budget for oracle runs; overridable via BGSEQ_ORACLE_BUDGET."""
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_ORACLE_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
-
-
 def brute_force_all_graphic(params: ClassParams, budget: int | None = None) -> ClassWitness:
     """Definitional check of the class: test every pair.
 
@@ -252,7 +237,7 @@ def brute_force_all_graphic(params: ClassParams, budget: int | None = None) -> C
     kernel, spot-validating a deterministic 1-in-1000 subsample against the
     full dominance test.  Refuses classes above the pair budget.
     """
-    limit = oracle_budget() if budget is None else operator.index(budget)
+    limit = DEFAULT_ORACLE_BUDGET if budget is None else operator.index(budget)
     left = _count_side(params.a, params.b, params.m, params.S, cap=limit)
     right = _count_side(params.c, params.d, params.n, params.S, cap=limit)
     if left == 0 or right == 0:
@@ -265,7 +250,7 @@ def brute_force_all_graphic(params: ClassParams, budget: int | None = None) -> C
         held = f"more than {limit}" if size is None else size
         raise OracleBudgetExceeded(
             f"class holds {held} pairs, above the oracle budget {limit}; "
-            f"set {BUDGET_ENV} or pass an explicit budget to override"
+            "pass a larger --budget (budget= in the library) to override"
         )
     if size == 0:
         return ClassWitness(OracleVerdict.EMPTY)

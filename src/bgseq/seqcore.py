@@ -226,29 +226,35 @@ class ClassParams:
         for name in ("a", "b", "c", "d", "m", "n", "S"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         a, b, c, d, m, n, S = self.a, self.b, self.c, self.d, self.m, self.n, self.S
-        if m < 1:
-            raise InvalidParams("requires m >= 1")
-        if n < 1:
-            raise InvalidParams("requires n >= 1")
-        if b < 0:
-            raise InvalidParams("requires b >= 0")
-        if d < 0:
-            raise InvalidParams("requires d >= 0")
-        if a < b:
-            raise InvalidParams("requires a >= b")
-        if c < d:
-            raise InvalidParams("requires c >= d")
-        if max(a, c, m, n, S) > MAX_INPUT:
-            raise LimitExceeded(f"parameters must not exceed {MAX_INPUT}")
-        if n < a:
-            raise InvalidParams("requires n >= a")
-        if m < c:
-            raise InvalidParams("requires m >= c")
+        _check_shape(a, b, c, d, m, n, S)
         if not max(m * b, n * d) <= S <= min(m * a, n * c):
             raise InvalidParams(
                 "requires max(m*b, n*d) <= S <= min(m*a, n*c); "
                 f"got S={S} outside [{max(m * b, n * d)}, {min(m * a, n * c)}]"
             )
+
+
+def _check_shape(a: int, b: int, c: int, d: int, m: int, n: int, S: int = 0) -> None:
+    # The class hypotheses that do not involve the sum's range, shared by
+    # ClassParams and s_range; S only joins the MAX_INPUT bound.
+    if m < 1:
+        raise InvalidParams("requires m >= 1")
+    if n < 1:
+        raise InvalidParams("requires n >= 1")
+    if b < 0:
+        raise InvalidParams("requires b >= 0")
+    if d < 0:
+        raise InvalidParams("requires d >= 0")
+    if a < b:
+        raise InvalidParams("requires a >= b")
+    if c < d:
+        raise InvalidParams("requires c >= d")
+    if max(a, c, m, n, S) > MAX_INPUT:
+        raise LimitExceeded(f"parameters must not exceed {MAX_INPUT}")
+    if n < a:
+        raise InvalidParams("requires n >= a")
+    if m < c:
+        raise InvalidParams("requires m >= c")
 
 
 def _side_nonempty(length: int, high: int, low: int, total: int) -> bool:
@@ -274,23 +280,11 @@ def class_nonempty(params: ClassParams) -> bool:
 def s_range(a: int, b: int, c: int, d: int, m: int, n: int) -> range:
     """All sums S compatible with the class hypotheses:
     max(m*b, n*d) <= S <= min(m*a, n*c).  Empty range when the lower bound
-    exceeds the upper bound."""
-    if b < 0:
-        raise InvalidParams("requires b >= 0")
-    if d < 0:
-        raise InvalidParams("requires d >= 0")
-    if a < b:
-        raise InvalidParams("requires a >= b")
-    if c < d:
-        raise InvalidParams("requires c >= d")
-    if m < 1:
-        raise InvalidParams("requires m >= 1")
-    if n < 1:
-        raise InvalidParams("requires n >= 1")
-    if n < a:
-        raise InvalidParams("requires n >= a")
-    if m < c:
-        raise InvalidParams("requires m >= c")
-    if max(a, c, m, n) > MAX_INPUT:
-        raise LimitExceeded(f"parameters must not exceed {MAX_INPUT}")
-    return range(max(m * b, n * d), min(m * a, n * c) + 1)
+    exceeds the upper bound.  Raises LimitExceeded when the range reaches
+    past MAX_INPUT, so that no caller starts iterating a range it cannot
+    finish."""
+    _check_shape(a, b, c, d, m, n)
+    span = range(max(m * b, n * d), min(m * a, n * c) + 1)
+    if span and span[-1] > MAX_INPUT:
+        raise LimitExceeded(f"sums up to {span[-1]} exceed the supported bound {MAX_INPUT}")
+    return span

@@ -1,8 +1,12 @@
 """CLI contract: exit codes, output formats, round-trips."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bgseq.cli as cli
 from bgseq.cli import (
@@ -472,3 +476,64 @@ class TestParseOnce:
         )
         assert code == EXIT_VACUOUS
         assert "vacuous" in out
+
+
+class TestPairCommandsAgree:
+    def test_realize_json_not_graphic_is_the_check_pair_object(self, capsys):
+        for left, right in (("4^2,1^2", "4^2,1^2"), ("2,1", "2,2")):
+            code, out, _ = run(capsys, "realize", "--left", left, "--right", right, "--json")
+            assert code == EXIT_NEGATIVE
+            assert (code, out) == run(capsys, "check-pair", "--left", left, "--right", right,
+                                      "--json")[:2]
+        code, out, _ = run(capsys, "realize", "--left", "4^2,1^2", "--right", "4^2,1^2", "--json")
+        assert json.loads(out) == {"left": [4, 4, 1, 1], "right": [4, 4, 1, 1], "graphic": False,
+                                   "sums_equal": True, "failing_k": 2}
+
+    def test_realize_text_not_graphic(self, capsys):
+        assert run(capsys, "realize", "--left", "4^2,1^2", "--right", "4^2,1^2")[:2] == (
+            EXIT_NEGATIVE, "not graphic, failing k=2\n")
+        assert run(capsys, "realize", "--left", "2,1", "--right", "2,2")[:2] == (
+            EXIT_NEGATIVE, "not graphic, sums differ\n")
+
+
+class TestSweepAllOrNothing:
+    def test_verify_above_budget_prints_no_rows(self, capsys):
+        # The first 18 classes fit the budget; a later one does not.
+        code, out, err = run(
+            capsys, "sweep", "-a", "9", "-b", "1", "-c", "9", "-d", "1",
+            "-m", "30", "-n", "30", "--verify", "--budget", "1000",
+        )
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: class holds 1600 pairs, above the oracle budget 1000")
+        assert "--budget" in err
+
+
+_COMMANDS = ("check-pair", "check-class", "sweep", "canonical", "realize", "symmetric")
+_FUZZ_TOKENS = _COMMANDS + (
+    "--left", "--right", "--strict", "--json", "--realize", "--verify", "--budget",
+    "--format", "--full", "-a", "-b", "-c", "-d", "-m", "-n", "-S", "json",
+    "-1", "0", "1", "2", "3", "7", str(1 << 20), str((1 << 20) + 1), str(10**30),
+    "x", "1^0", "", "3^99999999999",
+)
+_ARGV = st.one_of(
+    st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=7),
+    st.builds(lambda command, rest: [command, *rest], st.sampled_from(_COMMANDS),
+              st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=6)),
+)
+
+
+class TestHostileArgv:
+    @settings(max_examples=400, deadline=None)
+    @given(_ARGV)
+    def test_exit_code_stays_in_table(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_INVALID, cli.EXIT_DISAGREEMENT, EXIT_VACUOUS)
+        if code == EXIT_INVALID:
+            assert err.getvalue()
+

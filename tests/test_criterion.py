@@ -1,5 +1,7 @@
 """Closed-form criterion, canonical decomposition, smoothing, symmetric test."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -169,6 +171,22 @@ class TestTheoremMain:
                 assert witness.verdict is OracleVerdict.ALL_GRAPHIC, params
             else:
                 assert witness.verdict is OracleVerdict.FOUND_NON_GRAPHIC, params
+
+    def test_long_class_allocates_nothing_sized_by_m(self):
+        # The verdict reads the seven parameters only; the O(m) canonical
+        # pair (12.5 MB here when it was built inside) is canonical_pair's job.
+        m = 1 << 19
+        params = ClassParams(3, 1, 3, 1, m, m, 2 * m)
+        tracemalloc.start()
+        try:
+            report = theorem_main(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.branch is Branch.GENERAL_INEQUALITY
+        assert peak < 64 * 1024
+        pair = canonical_pair(params)
+        assert (report.verdict is Verdict.ALL_GRAPHIC) == gale_ryser(pair.E, pair.F).graphic
 
 
 class TestDominatesPrefix:

@@ -18,7 +18,7 @@ from bgseq import (
     min_cap_sum,
 )
 import bgseq.enumeration as enumeration
-from bgseq.enumeration import BUDGET_ENV, _count_side, oracle_budget
+from bgseq.enumeration import _count_side
 from helpers import grid_params
 
 
@@ -216,14 +216,3 @@ class TestBudget:
         params = ClassParams(1026, 0, 1026, 0, 1026, 1026, 1 << 19)
         with pytest.raises(OracleBudgetExceeded, match="more than 100 pairs"):
             brute_force_all_graphic(params, budget=100)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(BUDGET_ENV, "3")
-        assert oracle_budget() == 3
-        with pytest.raises(OracleBudgetExceeded):
-            brute_force_all_graphic(ClassParams(4, 1, 4, 1, 4, 4, 10))
-
-    def test_env_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv(BUDGET_ENV, "lots")
-        with pytest.raises(ValueError, match=BUDGET_ENV):
-            oracle_budget()

@@ -212,6 +212,25 @@ class TestSRange:
         with pytest.raises(InvalidParams):
             s_range(3, 1, 1, 1, 2, 2)  # n < a
 
+    def test_sums_above_bound(self):
+        assert s_range(1, 0, 1, 0, MAX_INPUT, MAX_INPUT)[-1] == MAX_INPUT
+        with pytest.raises(LimitExceeded, match="exceed the supported bound"):
+            s_range(2, 0, 2, 0, MAX_INPUT, MAX_INPUT)
+
+    def test_checks_match_class_params(self):
+        # One validation path: s_range refuses what ClassParams refuses, with
+        # the same message, for every shape violation.
+        cases = [(3, 4, 1, 1, 4, 4), (2, 1, 3, 4, 4, 4), (5, 1, 1, 1, 4, 4), (1, 1, 5, 1, 4, 5),
+                 (2, -1, 2, 1, 3, 3), (2, 1, 2, -1, 3, 3), (2, 1, 2, 1, 0, 3), (2, 1, 2, 1, 3, 0),
+                 (-1, -2, 0, 0, 0, 0), (1, 1, 1, 1, MAX_INPUT + 1, MAX_INPUT + 1)]
+        for shape in cases:
+            with pytest.raises(ValueError) as from_range:
+                s_range(*shape)
+            with pytest.raises(ValueError) as from_params:
+                ClassParams(*shape, S=0)
+            assert type(from_range.value) is type(from_params.value)
+            assert str(from_range.value) == str(from_params.value)
+
 
 class TestClassParams:
     @pytest.mark.parametrize(

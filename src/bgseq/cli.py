@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import criterion
 from .criterion import (
@@ -26,14 +27,16 @@ from .enumeration import (
     OracleVerdict,
     brute_force_all_graphic,
 )
-from .galeryser import gale_ryser, realize
+from .galeryser import BipartiteRealization, gale_ryser, realize
 from .seqcore import (
     MAX_INPUT,
+    BlockForm,
     ClassParams,
     DegreeSequence,
     LimitExceeded,
     class_nonempty,
     s_range,
+    to_blocks,
     validate_sequence,
 )
 
@@ -97,22 +100,45 @@ def parse_sequence_arg(text: str) -> list[int]:
     return out
 
 
-def format_runs(seq: DegreeSequence) -> str:
-    """Render a sequence in run syntax: (4,4,1,1) -> '4^2,1^2'."""
-    parts = []
-    values = list(seq)
-    i = 0
-    while i < len(values):
-        j = i
-        while j < len(values) and values[j] == values[i]:
-            j += 1
-        parts.append(str(values[i]) if j - i == 1 else f"{values[i]}^{j - i}")
-        i = j
-    return ",".join(parts)
+def format_runs(seq: DegreeSequence | BlockForm) -> str:
+    """Render a sequence in run syntax: (4,4,1,1) -> '4^2,1^2'.  A canonical
+    side passes the blocks it is built from."""
+    blocks = seq if isinstance(seq, BlockForm) else to_blocks(seq)
+    return ",".join(str(v) if c == 1 else f"{v}^{c}" for v, c in blocks.blocks)
+
+
+class _Raw(str):
+    """A value already encoded as JSON, which ``_dumps`` splices in as is."""
+
+
+def _json_runs(blocks: BlockForm) -> _Raw:
+    """A sequence given by its runs as a JSON array, one string repetition
+    per run."""
+    return _Raw("[" + "".join(f"{v}," * c for v, c in blocks.blocks)[:-1] + "]")
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def _dumps(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    """The one JSON codec: compact separators.  An object with no ``_Raw``
+    value is one encoder call.  Otherwise each stretch of plain values
+    between ``_Raw`` ones is one encoder call and the ``_Raw`` text is
+    copied in, so no output-sized list of Python ints is built."""
+    if not any(isinstance(value, _Raw) for value in obj.values()):
+        return _ENCODER.encode(obj)
+    parts, plain = [], {}
+    for key, value in obj.items():
+        if isinstance(value, _Raw):
+            if plain:
+                parts.append(_ENCODER.encode(plain)[1:-1])
+                plain = {}
+            parts.append(f"{_ENCODER.encode(key)}:{value}")
+        else:
+            plain[key] = value
+    if plain:
+        parts.append(_ENCODER.encode(plain)[1:-1])
+    return "{" + ",".join(parts) + "}"
 
 
 SWEEP_FIELDS = ("a", "b", "c", "d", "m", "n", "S", "nonempty", "r", "s", "p", "q", "lhs", "rhs", "verdict")
@@ -252,13 +278,29 @@ def _pair_object(e: DegreeSequence, f: DegreeSequence, verdict) -> dict:
     return obj
 
 
-def _edges(e: DegreeSequence, f: DegreeSequence) -> list[list[int]]:
-    return [list(edge) for edge in sorted(realize(e, f).edges)]
+def _edge_rows(real: BipartiteRealization) -> Iterator[tuple[int, Iterator[str]]]:
+    # Each left vertex that has edges, with its right ends as text, in order:
+    # realize returns the rows sorted, so one slice per left vertex.  With
+    # more edges than right vertices, each label is formatted once and looked
+    # up (about 3x faster than str per edge).
+    right = real.edges[:, 1]
+    n = len(real.right_degrees)
+    label = list(map(str, range(n + 1))).__getitem__ if len(right) > n else str
+    start = 0
+    for u, deg in enumerate(real.left_degrees.values.tolist(), 1):
+        if deg:
+            yield u, map(label, right[start:start + deg].tolist())
+            start += deg
 
 
-def _print_edges(edges: list[list[int]]) -> None:
-    for u, v in edges:
-        print(f"{u} {v}")
+def _edges_json(real: BipartiteRealization) -> _Raw:
+    return _Raw("[" + ",".join(f"[{u}," + f"],[{u},".join(cols) + "]"
+                               for u, cols in _edge_rows(real)) + "]")
+
+
+def _print_edges(real: BipartiteRealization) -> None:
+    if real.edges.size:
+        print("\n".join(f"{u} " + f"\n{u} ".join(cols) for u, cols in _edge_rows(real)))
 
 
 def _params_from_args(args) -> ClassParams:
@@ -267,16 +309,16 @@ def _params_from_args(args) -> ClassParams:
 
 def cmd_check_pair(args) -> int:
     e, f, verdict = _load_pair(args)
-    edges = _edges(e, f) if verdict.graphic and args.realize else None
+    real = realize(e, f) if verdict.graphic and args.realize else None
     if args.json:
         obj = _pair_object(e, f, verdict)
-        if edges is not None:
-            obj["edges"] = edges
+        if real is not None:
+            obj["edges"] = _edges_json(real)
         print(_dumps(obj))
     else:
         print(_verdict_line(verdict))
-        if edges is not None:
-            _print_edges(edges)
+        if real is not None:
+            _print_edges(real)
     return EXIT_OK if verdict.graphic else EXIT_NEGATIVE
 
 
@@ -285,11 +327,11 @@ def cmd_realize(args) -> int:
     if not verdict.graphic:
         print(_dumps(_pair_object(e, f, verdict)) if args.json else _verdict_line(verdict))
         return EXIT_NEGATIVE
-    edges = _edges(e, f)
+    real = realize(e, f)
     if args.json:
-        print(_dumps({"edges": edges}))
+        print(_dumps({"edges": _edges_json(real)}))
     else:
-        _print_edges(edges)
+        _print_edges(real)
     return EXIT_OK
 
 
@@ -331,8 +373,8 @@ def cmd_check_class(args) -> int:
                 min_term=report.min_term,
                 min_term_argument=report.min_term_argument,
             )
-            obj["E"] = list(pair.E)
-            obj["F"] = list(pair.F)
+            obj["E"] = _json_runs(pair.E_blocks)
+            obj["F"] = _json_runs(pair.F_blocks)
         if witness is not None:
             obj["oracle_verdict"] = witness.verdict.value
             obj["oracle_agrees"] = agrees
@@ -357,8 +399,8 @@ def cmd_check_class(args) -> int:
                 f"rhs = S + r*s + min_term = {report.rhs}; "
                 f"min term '{report.min_term_argument}' = {report.min_term}"
             )
-            print(f"canonical pair: E = {format_runs(pair.E)}  "
-                  f"F = {format_runs(pair.F)}")
+            print(f"canonical pair: E = {format_runs(pair.E_blocks)}  "
+                  f"F = {format_runs(pair.F_blocks)}")
         if witness is not None:
             line = f"oracle: {witness.verdict.value} (agrees: {'yes' if agrees else 'NO'})"
             if witness.witness is not None:
@@ -409,14 +451,14 @@ def cmd_canonical(args) -> int:
             "s": dec.s,
             "p": dec.p,
             "q": dec.q,
-            "E": list(pair.E),
-            "F": list(pair.F),
+            "E": _json_runs(pair.E_blocks),
+            "F": _json_runs(pair.F_blocks),
         }
         print(_dumps(obj))
     else:
         print(f"decomposition: r={dec.r} s={dec.s} p={dec.p} q={dec.q}")
-        print(f"E = {format_runs(pair.E)}")
-        print(f"F = {format_runs(pair.F)}")
+        print(f"E = {format_runs(pair.E_blocks)}")
+        print(f"F = {format_runs(pair.F_blocks)}")
     return EXIT_OK
 
 

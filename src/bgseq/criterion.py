@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .seqcore import (
     MAX_INPUT,
+    BlockForm,
     ClassParams,
     DegreeSequence,
     LimitExceeded,
@@ -100,10 +102,19 @@ class CanonicalDecomposition:
 @dataclass(frozen=True)
 class CanonicalPair:
     """The extremal pair (E, F) of a class: E = (a^r, b+q, b^(m-r-1)) and
-    F = (c^s, d+p, d^(n-s-1))."""
+    F = (c^s, d+p, d^(n-s-1)).  Held as run-length blocks, at most three a
+    side; the O(m + n) arrays ``E`` and ``F`` are expanded on first use."""
 
-    E: DegreeSequence
-    F: DegreeSequence
+    E_blocks: BlockForm
+    F_blocks: BlockForm
+
+    @cached_property
+    def E(self) -> DegreeSequence:
+        return self.E_blocks.expand()
+
+    @cached_property
+    def F(self) -> DegreeSequence:
+        return self.F_blocks.expand()
 
 
 @dataclass(frozen=True)
@@ -151,9 +162,10 @@ def decompose(params: ClassParams) -> CanonicalDecomposition:
     return CanonicalDecomposition(r, s, p, q)
 
 
-def canonical_sequence(high: int, low: int, length: int, total: int) -> DegreeSequence:
-    """The extremal decreasing sequence with the given max, min, length and
-    sum: maximal head of `high` entries, one leftover entry, `low` after."""
+def _canonical_blocks(high: int, low: int, length: int, total: int) -> BlockForm:
+    """Runs of the extremal decreasing sequence with the given max, min,
+    length and sum: maximal head of `high` entries, one leftover entry, `low`
+    after.  O(1): at most three blocks, equal neighbours merged."""
     if high <= low:
         raise DegenerateClass("requires max > min")
     if not _side_nonempty(length, high, low, total):
@@ -162,24 +174,31 @@ def canonical_sequence(high: int, low: int, length: int, total: int) -> DegreeSe
             f"min {low}, sum {total}"
         )
     head, leftover = _split(high, low, length, total)
-    values = np.concatenate(
-        [
-            np.full(head, high, dtype=np.int64),
-            np.array([low + leftover], dtype=np.int64),
-            np.full(length - head - 1, low, dtype=np.int64),
-        ]
-    )
-    seq = DegreeSequence(values)
-    assert seq.total == total and seq.largest == high and seq.smallest == low
-    return seq
+    blocks = [(high, head)]
+    for value, count in ((low + leftover, 1), (low, length - head - 1)):
+        if count and value == blocks[-1][0]:
+            blocks[-1] = (value, blocks[-1][1] + count)
+        elif count:
+            blocks.append((value, count))
+    assert head >= 1 and blocks[-1][0] == low
+    assert sum(c for _, c in blocks) == length and sum(v * c for v, c in blocks) == total
+    return BlockForm(tuple(blocks))
+
+
+def canonical_sequence(high: int, low: int, length: int, total: int) -> DegreeSequence:
+    """The extremal decreasing sequence with the given max, min, length and
+    sum: maximal head of `high` entries, one leftover entry, `low` after."""
+    return _canonical_blocks(high, low, length, total).expand()
 
 
 def canonical_pair(params: ClassParams) -> CanonicalPair:
-    """Build the extremal pair (E, F) of a nonempty class with a > b, c > d."""
+    """The extremal pair (E, F) of a nonempty class with a > b, c > d, as
+    blocks; O(1) until ``E`` or ``F`` is read."""
     decompose(params)  # validates hypotheses and the (r, s, p, q) ranges
-    E = canonical_sequence(params.a, params.b, params.m, params.S)
-    F = canonical_sequence(params.c, params.d, params.n, params.S)
-    return CanonicalPair(E, F)
+    return CanonicalPair(
+        _canonical_blocks(params.a, params.b, params.m, params.S),
+        _canonical_blocks(params.c, params.d, params.n, params.S),
+    )
 
 
 def theorem_main(params: ClassParams) -> CriterionReport:

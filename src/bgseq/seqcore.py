@@ -203,10 +203,12 @@ class BlockForm:
 
 
 def to_blocks(x: DegreeSequence) -> BlockForm:
-    """Run-length encode a decreasing sequence into BlockForm."""
-    values, counts = np.unique(x.values, return_counts=True)
-    pairs = tuple(zip(values[::-1].tolist(), counts[::-1].tolist()))
-    return BlockForm(pairs)
+    """Run-length encode a decreasing sequence into BlockForm.  O(len(x)):
+    a run starts wherever an entry differs from its predecessor."""
+    v = x.values
+    starts = np.concatenate(([0], np.flatnonzero(v[1:] != v[:-1]) + 1))
+    counts = np.diff(starts, append=v.size)
+    return BlockForm(tuple(zip(v[starts].tolist(), counts.tolist())))
 
 
 @dataclass(frozen=True)

@@ -77,3 +77,70 @@ def random_graphic_pairs(count: int, seed: int, max_side: int = 30):
         e = np.sort(adj.sum(axis=1).astype(np.int64))[::-1]
         f = np.sort(adj.sum(axis=0).astype(np.int64))[::-1]
         yield DegreeSequence(e.copy()), DegreeSequence(f.copy())
+
+
+def tie_heavy_graphic_pairs(count: int, seed: int, max_side: int = 12):
+    """Degree-sequence pairs of seeded random bipartite graphs drawn to tie:
+    small sides, densities from 0 to 1 (so zero degrees and full rows), and
+    repeated rows.  Graphic by construction; sides of length 1 included."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        m = int(rng.integers(1, max_side + 1))
+        n = int(rng.integers(1, max_side + 1))
+        adj = rng.random((m, n)) < rng.choice([0.0, 0.2, 0.5, 0.8, 1.0])
+        if trial % 3 == 0:
+            adj = adj[rng.integers(0, m, size=m)]
+        if trial % 5 == 0:
+            adj[0] = True
+        e = np.sort(adj.sum(axis=1).astype(np.int64))[::-1]
+        f = np.sort(adj.sum(axis=0).astype(np.int64))[::-1]
+        yield DegreeSequence(e.copy()), DegreeSequence(f.copy())
+
+
+def reference_realize_edges(e: DegreeSequence, f: DegreeSequence) -> list[list[int]]:
+    """Ryser's greedy as first written, kept to pin the tie-break: one lexsort
+    per left vertex (largest residual first, then smallest index), edges
+    gathered in a set and listed in (left, right) order."""
+    residual = f.values.copy()
+    indices = np.arange(residual.size)
+    edges = set()
+    for i, deg in enumerate(e.values.tolist()):
+        if deg == 0:
+            continue
+        chosen = np.lexsort((indices, -residual))[:deg]
+        residual[chosen] -= 1
+        edges.update((i + 1, j + 1) for j in chosen.tolist())
+    return [list(edge) for edge in sorted(edges)]
+
+
+def reference_format_runs(seq: DegreeSequence) -> str:
+    """Run syntax as first written: one Python step per entry."""
+    parts = []
+    values = list(seq)
+    i = 0
+    while i < len(values):
+        j = i
+        while j < len(values) and values[j] == values[i]:
+            j += 1
+        parts.append(str(values[i]) if j - i == 1 else f"{values[i]}^{j - i}")
+        i = j
+    return ",".join(parts)
+
+
+def reference_blocks(seq: DegreeSequence) -> tuple[tuple[int, int], ...]:
+    """Block form as first written: np.unique's sorted values, reversed."""
+    values, counts = np.unique(seq.values, return_counts=True)
+    return tuple(zip(values[::-1].tolist(), counts[::-1].tolist()))
+
+
+def random_decreasing(count: int, seed: int, max_len: int = 40, max_val: int = 6):
+    """Seeded decreasing sequences with many runs: lengths from 1, values from
+    0, every tenth one constant."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        length = int(rng.integers(1, max_len + 1))
+        if trial % 10 == 0:
+            values = np.full(length, int(rng.integers(0, max_val + 1)), dtype=np.int64)
+        else:
+            values = np.sort(rng.integers(0, max_val + 1, size=length))[::-1]
+        yield DegreeSequence(values.copy())

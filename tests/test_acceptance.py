@@ -191,7 +191,10 @@ def test_07_realization_soundness():
     for e, f in random_graphic_pairs(10_000, seed=42):
         graph = realize(e, f)
         assert graph.degree_audit(), (e, f)
-        assert len(graph.edges) == e.total  # frozenset, so no duplicate edges
+        assert len(graph.edges) == e.total
+        # Rows strictly increase in (left, right) order, so no edge repeats.
+        rows = graph.edges[:, 0] * (len(f) + 1) + graph.edges[:, 1]
+        assert np.all(np.diff(rows) > 0), (e, f)
         count += 1
     assert count == 10_000
     print(f"ACCEPTANCE 7 realization soundness: PASS ({count} pairs)")

@@ -7,6 +7,7 @@ import pytest
 
 from bgseq import (
     MAX_INPUT,
+    BipartiteRealization,
     DegreeSequence,
     NotGraphic,
     PairVerdict,
@@ -147,15 +148,13 @@ class TestLastIndexShortcut:
 class TestRealize:
     def test_two_by_two(self):
         real = realize(seq(2, 1), seq(2, 1))
-        assert real.edges == frozenset({(1, 1), (1, 2), (2, 1)})
+        assert real.edges.tolist() == [[1, 1], [1, 2], [2, 1]]
 
     def test_star(self):
-        assert realize(seq(3), seq(1, 1, 1)).edges == frozenset({(1, 1), (1, 2), (1, 3)})
+        assert realize(seq(3), seq(1, 1, 1)).edges.tolist() == [[1, 1], [1, 2], [1, 3]]
 
     def test_complete(self):
-        assert realize(seq(2, 2), seq(2, 2)).edges == frozenset(
-            {(1, 1), (1, 2), (2, 1), (2, 2)}
-        )
+        assert realize(seq(2, 2), seq(2, 2)).edges.tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]]
 
     def test_rejects_non_graphic(self):
         with pytest.raises(NotGraphic):
@@ -173,5 +172,30 @@ class TestRealize:
 
     def test_handles_zero_degrees(self):
         real = realize(seq(1, 0), seq(1, 0))
-        assert real.edges == frozenset({(1, 1)})
+        assert real.edges.tolist() == [[1, 1]]
         assert real.degree_audit()
+
+    def test_edges_are_a_sorted_read_only_array(self):
+        real = realize(seq(3, 2, 2, 1), seq(3, 3, 1, 1))
+        assert real.edges.dtype == np.int64 and real.edges.shape == (8, 2)
+        assert not real.edges.flags.writeable
+        assert real.edges.tolist() == sorted(real.edges.tolist())
+        assert realize(seq(0, 0), seq(0)).edges.shape == (0, 2)
+
+    def test_matches_lexsort_reference(self):
+        # The argpartition selection keeps the original greedy's tie-break:
+        # same edges, same order, on tie-heavy pairs with zero degrees, full
+        # rows and single vertices.
+        from helpers import reference_realize_edges, tie_heavy_graphic_pairs
+
+        shapes = set()
+        for e, f in tie_heavy_graphic_pairs(2_500, seed=11):
+            assert realize(e, f).edges.tolist() == reference_realize_edges(e, f), (e, f)
+            shapes.add((len(e) == 1, len(f) == 1, e.smallest == 0, e.largest == len(f)))
+        assert len(shapes) >= 12
+
+    def test_audit_catches_a_moved_edge(self):
+        real = realize(seq(2, 1), seq(2, 1))
+        moved = real.edges.copy()
+        moved[2, 1] = 2
+        assert not BipartiteRealization(real.left_degrees, real.right_degrees, moved).degree_audit()

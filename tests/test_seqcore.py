@@ -164,6 +164,13 @@ class TestBlocks:
     def test_boundaries(self):
         assert to_blocks(DegreeSequence([3, 2, 2, 1])).boundaries() == (1, 3, 4)
 
+    def test_matches_unique_definition(self):
+        from helpers import random_decreasing, reference_blocks
+
+        sequences = [DegreeSequence(v) for v in ([7], [0], [0, 0, 0], [5, 5, 5], [3, 0])]
+        for seq in sequences + list(random_decreasing(3_000, seed=6)):
+            assert to_blocks(seq).blocks == reference_blocks(seq), seq
+
     def test_expand_is_exact(self):
         assert BlockForm(((4, 2), (1, 2))).expand() == DegreeSequence([4, 4, 1, 1])
 

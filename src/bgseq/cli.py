@@ -121,12 +121,10 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def _dumps(obj: dict) -> str:
-    """The one JSON codec: compact separators.  An object with no ``_Raw``
-    value is one encoder call.  Otherwise each stretch of plain values
+    """The one JSON codec: compact separators.  Each stretch of plain values
     between ``_Raw`` ones is one encoder call and the ``_Raw`` text is
-    copied in, so no output-sized list of Python ints is built."""
-    if not any(isinstance(value, _Raw) for value in obj.values()):
-        return _ENCODER.encode(obj)
+    copied in, so no output-sized list of Python ints is built; an object
+    with no ``_Raw`` value is a single encoder call."""
     parts, plain = [], {}
     for key, value in obj.items():
         if isinstance(value, _Raw):
@@ -280,12 +278,10 @@ def _pair_object(e: DegreeSequence, f: DegreeSequence, verdict) -> dict:
 
 def _edge_rows(real: BipartiteRealization) -> Iterator[tuple[int, Iterator[str]]]:
     # Each left vertex that has edges, with its right ends as text, in order:
-    # realize returns the rows sorted, so one slice per left vertex.  With
-    # more edges than right vertices, each label is formatted once and looked
-    # up (about 3x faster than str per edge).
+    # realize returns the rows sorted, so one slice per left vertex.  Each
+    # right label is formatted once and looked up.
     right = real.edges[:, 1]
-    n = len(real.right_degrees)
-    label = list(map(str, range(n + 1))).__getitem__ if len(right) > n else str
+    label = list(map(str, range(len(real.right_degrees) + 1))).__getitem__
     start = 0
     for u, deg in enumerate(real.left_degrees.values.tolist(), 1):
         if deg:

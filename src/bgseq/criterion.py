@@ -165,7 +165,8 @@ def decompose(params: ClassParams) -> CanonicalDecomposition:
 def _canonical_blocks(high: int, low: int, length: int, total: int) -> BlockForm:
     """Runs of the extremal decreasing sequence with the given max, min,
     length and sum: maximal head of `high` entries, one leftover entry, `low`
-    after.  O(1): at most three blocks, equal neighbours merged."""
+    after.  O(1): at most three blocks.  The leftover is below high - low,
+    so a positive one is its own block and a zero one joins the low tail."""
     if high <= low:
         raise DegenerateClass("requires max > min")
     if not _side_nonempty(length, high, low, total):
@@ -175,11 +176,11 @@ def _canonical_blocks(high: int, low: int, length: int, total: int) -> BlockForm
         )
     head, leftover = _split(high, low, length, total)
     blocks = [(high, head)]
-    for value, count in ((low + leftover, 1), (low, length - head - 1)):
-        if count and value == blocks[-1][0]:
-            blocks[-1] = (value, blocks[-1][1] + count)
-        elif count:
-            blocks.append((value, count))
+    if leftover:
+        blocks.append((low + leftover, 1))
+    rest = length - head - (1 if leftover else 0)
+    if rest:
+        blocks.append((low, rest))
     assert head >= 1 and blocks[-1][0] == low
     assert sum(c for _, c in blocks) == length and sum(v * c for v, c in blocks) == total
     return BlockForm(tuple(blocks))

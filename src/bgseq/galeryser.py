@@ -108,11 +108,24 @@ class BipartiteRealization:
     edges: np.ndarray
 
     def degree_audit(self) -> bool:
-        """Recount degrees from the edge array and compare entrywise."""
+        """Whether ``edges`` is a simple graph with the prescribed degrees:
+        an (|E|, 2) array of in-range 1-based rows that strictly increase in
+        (left, right) order, so no edge repeats, whose recounted degrees
+        equal both sequences entrywise."""
+        edges = np.asarray(self.edges)
+        m, n = len(self.left_degrees), len(self.right_degrees)
+        if (edges.dtype.kind not in "iu" or edges.ndim != 2 or edges.shape[1] != 2
+                or len(edges) != self.left_degrees.total):
+            return False
+        edges = edges.astype(np.int64, copy=False)
+        left, right = edges[:, 0], edges[:, 1]
+        if np.any((left < 1) | (left > m) | (right < 1) | (right > n)):
+            return False
+        if np.any(np.diff(left * (n + 1) + right) <= 0):
+            return False
         return all(
-            np.array_equal(np.bincount(self.edges[:, side] - 1, minlength=len(degrees)),
-                           degrees.values)
-            for side, degrees in enumerate((self.left_degrees, self.right_degrees))
+            np.array_equal(np.bincount(ends - 1, minlength=len(degrees)), degrees.values)
+            for ends, degrees in ((left, self.left_degrees), (right, self.right_degrees))
         )
 
 

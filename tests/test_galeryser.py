@@ -199,3 +199,23 @@ class TestRealize:
         moved = real.edges.copy()
         moved[2, 1] = 2
         assert not BipartiteRealization(real.left_degrees, real.right_degrees, moved).degree_audit()
+
+    def test_audit_rejects_repeats_bad_indices_and_disorder(self):
+        def audit(e, f, rows):
+            edges = np.array(rows, dtype=np.int64).reshape(-1, 2)
+            return BipartiteRealization(seq(*e), seq(*f), edges).degree_audit()
+
+        assert audit((2, 1), (2, 1), [[1, 1], [1, 2], [2, 1]])
+        # A repeated edge whose degree counts still match.
+        assert not audit((2,), (2,), [[1, 1], [1, 1]])
+        assert not audit((2, 2), (2, 2), [[1, 1], [1, 1], [2, 2], [2, 2]])
+        # Zero, negative and too-large indices.
+        assert not audit((1,), (1,), [[0, 1]])
+        assert not audit((1,), (1,), [[1, 0]])
+        assert not audit((1,), (1,), [[1, -1]])
+        assert not audit((1, 0), (1,), [[1, 2]])
+        # The right set of edges, out of (left, right) order.
+        assert not audit((2, 1), (2, 1), [[1, 2], [1, 1], [2, 1]])
+        # Wrong shape or dtype.
+        assert not BipartiteRealization(seq(1), seq(1), np.array([1, 1])).degree_audit()
+        assert not BipartiteRealization(seq(1), seq(1), np.array([[1.0, 1.0]])).degree_audit()

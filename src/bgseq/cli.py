@@ -14,6 +14,8 @@ import sys
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from . import criterion
 from .criterion import (
     EmptyClass,
@@ -75,29 +77,47 @@ _EXPECTED_ORACLE = {
 }
 
 
-def parse_sequence_arg(text: str) -> list[int]:
+def parse_sequence_arg(text: str) -> np.ndarray:
     """Parse a comma-separated sequence with optional value^count runs,
-    e.g. '4^2,1^2' for 4,4,1,1.  Raises LimitExceeded before expanding a run
-    that would take the length above MAX_INPUT."""
-    out: list[int] = []
-    for token in text.split(","):
-        token = token.strip()
+    e.g. '4^2,1^2' for 4,4,1,1, into an int64 array.  Values and counts are
+    what ``int()`` accepts, and a count is at least 1.  Text without runs
+    costs one ``np.array`` over its items, O(n) in numpy; text with runs or
+    with an item numpy refuses takes one ``int()`` per item, and a run is
+    bounded by MAX_INPUT before it is expanded."""
+    items = text.split(",")
+    try:
+        values = np.array(items, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return _parse_items(text, items)
+    if values.size > MAX_INPUT:
+        raise LimitExceeded(f"sequence length {values.size} exceeds {MAX_INPUT}")
+    return values
+
+
+def _parse_items(text: str, items: list[str]) -> np.ndarray:
+    # Item by item in input order: the first bad item is named, and a run
+    # that would take the length above MAX_INPUT raises before it is
+    # expanded.  Values beyond int64 stay exact, as objects.
+    values, counts, length = [], [], 0
+    for item in items:
+        head, mark, tail = item.partition("^")
         try:
-            if "^" not in token:
-                out.append(int(token))
-                continue
-            value_s, count_s = token.split("^", 1)
-            value, count = int(value_s), int(count_s)
+            value, count = int(head), int(tail) if mark else 1
             if count < 1:
                 raise ValueError
         except ValueError:
-            raise ValueError(f"cannot parse sequence item {token!r} in {text!r}") from None
-        if len(out) + count > MAX_INPUT:
-            raise LimitExceeded(f"sequence length {len(out) + count} exceeds {MAX_INPUT}")
-        out.extend([value] * count)
-    if len(out) > MAX_INPUT:
-        raise LimitExceeded(f"sequence length {len(out)} exceeds {MAX_INPUT}")
-    return out
+            raise ValueError(f"cannot parse sequence item {item.strip()!r} in {text!r}") from None
+        if mark and length + count > MAX_INPUT:
+            raise LimitExceeded(f"sequence length {length + count} exceeds {MAX_INPUT}")
+        values.append(value)
+        counts.append(count)
+        length += count
+    if length > MAX_INPUT:
+        raise LimitExceeded(f"sequence length {length} exceeds {MAX_INPUT}")
+    try:
+        return np.repeat(np.array(values, dtype=np.int64), counts)
+    except OverflowError:
+        return np.repeat(np.array(values, dtype=object), counts)
 
 
 def format_runs(seq: DegreeSequence | BlockForm) -> str:
@@ -107,14 +127,20 @@ def format_runs(seq: DegreeSequence | BlockForm) -> str:
     return ",".join(str(v) if c == 1 else f"{v}^{c}" for v, c in blocks.blocks)
 
 
-class _Raw(str):
-    """A value already encoded as JSON, which ``_dumps`` splices in as is."""
+class _Raw(tuple):
+    """A value already encoded as JSON, as pieces of text ``_dumps`` copies in."""
 
 
 def _json_runs(blocks: BlockForm) -> _Raw:
     """A sequence given by its runs as a JSON array, one string repetition
     per run."""
-    return _Raw("[" + "".join(f"{v}," * c for v, c in blocks.blocks)[:-1] + "]")
+    *head, (v, c) = blocks.blocks
+    return _Raw(("[", *(f"{w}," * k for w, k in head), f"{v}," * (c - 1), f"{v}]"))
+
+
+def _json_ints(values: np.ndarray) -> _Raw:
+    """An int64 array as a JSON array, from one ``%d`` format."""
+    return _Raw((("[" + "%d," * (values.size - 1) + "%d]") % tuple(values.tolist()),))
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -122,21 +148,23 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 def _dumps(obj: dict) -> str:
     """The one JSON codec: compact separators.  Each stretch of plain values
-    between ``_Raw`` ones is one encoder call and the ``_Raw`` text is
-    copied in, so no output-sized list of Python ints is built; an object
-    with no ``_Raw`` value is a single encoder call."""
-    parts, plain = [], {}
+    between ``_Raw`` ones is one encoder call, and all pieces are joined
+    once, so no output-sized list of Python ints is built and the answer is
+    copied once; an object with no ``_Raw`` value is a single encoder call."""
+    parts, plain = ["{"], {}
     for key, value in obj.items():
         if isinstance(value, _Raw):
             if plain:
-                parts.append(_ENCODER.encode(plain)[1:-1])
+                parts += (_ENCODER.encode(plain)[1:-1], ",")
                 plain = {}
-            parts.append(f"{_ENCODER.encode(key)}:{value}")
+            parts += (_ENCODER.encode(key), ":", *value, ",")
         else:
             plain[key] = value
     if plain:
-        parts.append(_ENCODER.encode(plain)[1:-1])
-    return "{" + ",".join(parts) + "}"
+        parts.append(_ENCODER.encode(plain)[1:])
+    else:
+        parts[-1] = "}"
+    return "".join(parts)
 
 
 SWEEP_FIELDS = ("a", "b", "c", "d", "m", "n", "S", "nonempty", "r", "s", "p", "q", "lhs", "rhs", "verdict")
@@ -266,8 +294,8 @@ def _verdict_line(verdict) -> str:
 
 def _pair_object(e: DegreeSequence, f: DegreeSequence, verdict) -> dict:
     obj = {
-        "left": list(e),
-        "right": list(f),
+        "left": _json_ints(e.values),
+        "right": _json_ints(f.values),
         "graphic": verdict.graphic,
         "sums_equal": verdict.sums_equal,
     }
@@ -276,22 +304,24 @@ def _pair_object(e: DegreeSequence, f: DegreeSequence, verdict) -> dict:
     return obj
 
 
-def _edge_rows(real: BipartiteRealization) -> Iterator[tuple[int, Iterator[str]]]:
-    # Each left vertex that has edges, with its right ends as text, in order:
-    # realize returns the rows sorted, so one slice per left vertex.  Each
-    # right label is formatted once and looked up.
-    right = real.edges[:, 1]
-    label = list(map(str, range(len(real.right_degrees) + 1))).__getitem__
+def _edge_rows(real: BipartiteRealization) -> Iterator[tuple[int, list[str]]]:
+    # Each left vertex that has edges, with its right ends as text: realize
+    # returns the rows sorted, so one slice per left vertex.
+    labels = np.array(list(map(str, range(len(real.right_degrees) + 1))), dtype=object)
+    right = labels[real.edges[:, 1]].tolist()
     start = 0
     for u, deg in enumerate(real.left_degrees.values.tolist(), 1):
         if deg:
-            yield u, map(label, right[start:start + deg].tolist())
+            yield u, right[start:start + deg]
             start += deg
 
 
 def _edges_json(real: BipartiteRealization) -> _Raw:
-    return _Raw("[" + ",".join(f"[{u}," + f"],[{u},".join(cols) + "]"
-                               for u, cols in _edge_rows(real)) + "]")
+    parts = ["["]
+    for u, cols in _edge_rows(real):
+        parts += (f"[{u},", f"],[{u},".join(cols), "],")
+    parts[-1] = "]]" if len(parts) > 1 else "[]"
+    return _Raw(parts)
 
 
 def _print_edges(real: BipartiteRealization) -> None:

@@ -42,6 +42,10 @@ DEFAULT_ORACLE_BUDGET = 10**7
 # so that a class far above the oracle budget is refused quickly.
 EXACT_COUNT_STEPS = 1 << 20
 
+# count_class refuses a side whose exact count takes more integer steps than
+# this: about a second on a 2-vCPU VM.
+COUNT_STEP_LIMIT = 1 << 22
+
 # Every 1000th scanned pair is re-tested with the full dominance check.
 SPOT_STRIDE = 1000
 
@@ -183,7 +187,10 @@ def _count_side(A: int, B: int, L: int, S: int, cap: int | None = None) -> int |
     # `total` has more than `total` parts or a part above `total`.
     total = min(total, parts * size - total)
     parts, size = min(parts, total), min(size, total)
-    if cap is None or min(parts, size) * total <= EXACT_COUNT_STEPS:
+    steps = min(parts, size) * total
+    if cap is None and steps > COUNT_STEP_LIMIT:
+        raise LimitExceeded(f"counting a side exactly takes {steps} steps, above {COUNT_STEP_LIMIT}")
+    if cap is None or steps <= EXACT_COUNT_STEPS:
         return _box_partitions(parts, size, total)
     # The box counts also rise up to the middle (Sylvester), so the count at
     # any t <= total is a lower bound: stop once one passes the cap.
@@ -197,7 +204,9 @@ def _count_side(A: int, B: int, L: int, S: int, cap: int | None = None) -> int |
 
 def count_class(params: ClassParams) -> int:
     """Exact size of the class, |left side| * |right side|, without
-    enumerating anything."""
+    enumerating anything.  Raises LimitExceeded when counting a side would
+    take more than ``COUNT_STEP_LIMIT`` integer steps (a side's count costs
+    min(parts, size) * total steps, as in ``_box_partitions``)."""
     left = _count_side(params.a, params.b, params.m, params.S)
     if left == 0:
         return 0

@@ -68,24 +68,14 @@ class DegreeSequence:
     """A non-strictly decreasing sequence of nonnegative integers.
 
     Entries live in a read-only int64 array (``.values``).  Instances are
-    immutable in practice, hashable, and compare entrywise.
+    immutable in practice, hashable, and compare entrywise.  Construction
+    runs ``validate_sequence`` in strict mode.
     """
 
     __slots__ = ("values",)
 
     def __init__(self, entries: Iterable[int]):
-        if isinstance(entries, np.ndarray) and entries.dtype == np.int64:
-            arr = entries.copy()
-        else:
-            try:
-                arr = np.array([operator.index(v) for v in entries], dtype=np.int64)
-            except OverflowError:
-                raise LimitExceeded(
-                    f"entries must not exceed the supported bound {MAX_INPUT}"
-                ) from None
-        _check_entries(arr)
-        arr.setflags(write=False)
-        self.values = arr
+        self.values = validate_sequence(entries).sequence.values
 
     @classmethod
     def _from_trusted(cls, arr: np.ndarray) -> "DegreeSequence":
@@ -133,19 +123,6 @@ class DegreeSequence:
         return f"DegreeSequence({', '.join(map(str, self.values.tolist()))})"
 
 
-def _check_entries(arr: np.ndarray) -> None:
-    if arr.size == 0:
-        raise EmptyInput("a degree sequence needs at least one entry")
-    if arr.size > MAX_INPUT:
-        raise LimitExceeded(f"sequence length {arr.size} exceeds {MAX_INPUT}")
-    if arr[-1] < 0 or arr.min() < 0:
-        raise NegativeEntry(f"negative entry {int(arr.min())} not allowed")
-    if arr[0] > MAX_INPUT or arr.max() > MAX_INPUT:
-        raise LimitExceeded(f"entry {int(arr.max())} exceeds {MAX_INPUT}")
-    if arr.size > 1 and np.any(arr[1:] > arr[:-1]):
-        raise NotDecreasing("entries must be non-increasing")
-
-
 class ValidatedSequence(NamedTuple):
     sequence: DegreeSequence
     was_sorted: bool
@@ -156,19 +133,34 @@ def validate_sequence(raw: Iterable[int], strict: bool = True) -> ValidatedSeque
 
     Strict mode rejects input that is not already sorted decreasingly; the
     lenient mode sorts it and reports that it did so via ``was_sorted``.
+    An int64 array is checked as it is in O(n) numpy steps (``np.sort`` when
+    sorting); any other iterable first takes one ``operator.index`` per entry.
     """
-    entries = [operator.index(v) for v in raw]
-    if not entries:
+    # Integers beyond int64 are kept exactly, as objects, so that they meet
+    # the checks below in the same order as any other entry.
+    arr = raw
+    if not isinstance(arr, np.ndarray) or arr.dtype != np.int64:
+        values = [operator.index(v) for v in raw]
+        try:
+            arr = np.array(values, dtype=np.int64)
+        except OverflowError:
+            arr = np.array(values, dtype=object)
+    if arr.size == 0:
         raise EmptyInput("expected at least one entry")
-    for v in entries:
-        if v < 0:
-            raise NegativeEntry(f"negative entry {v} not allowed")
-    ordered = sorted(entries, reverse=True)
-    if entries == ordered:
-        return ValidatedSequence(DegreeSequence(entries), False)
-    if strict:
-        raise NotDecreasing(f"entries {entries} are not in decreasing order")
-    return ValidatedSequence(DegreeSequence(ordered), True)
+    negative = arr < 0
+    if negative.any():
+        raise NegativeEntry(f"negative entry {arr[negative.argmax()]} not allowed")
+    unsorted = bool((arr[1:] > arr[:-1]).any())
+    if unsorted and strict:
+        raise NotDecreasing(f"entries {arr.tolist()} are not in decreasing order")
+    if arr.dtype != np.int64:
+        raise LimitExceeded(f"entries must not exceed the supported bound {MAX_INPUT}")
+    if arr.size > MAX_INPUT:
+        raise LimitExceeded(f"sequence length {arr.size} exceeds {MAX_INPUT}")
+    if arr.max() > MAX_INPUT:
+        raise LimitExceeded(f"entry {arr.max()} exceeds {MAX_INPUT}")
+    arr = -np.sort(-arr) if unsorted else arr.copy()
+    return ValidatedSequence(DegreeSequence._from_trusted(arr), unsorted)
 
 
 def min_cap_sum(f: DegreeSequence, k: int) -> int:

@@ -5,7 +5,16 @@ from typing import Iterator
 
 import numpy as np
 
-from bgseq import ClassParams, DegreeSequence, s_range
+from bgseq import (
+    MAX_INPUT,
+    ClassParams,
+    DegreeSequence,
+    EmptyInput,
+    LimitExceeded,
+    NegativeEntry,
+    NotDecreasing,
+    s_range,
+)
 
 
 def grid_params(limit: int = 6, min_floor: int = 1) -> Iterator[ClassParams]:
@@ -144,3 +153,42 @@ def random_decreasing(count: int, seed: int, max_len: int = 40, max_val: int = 6
         else:
             values = np.sort(rng.integers(0, max_val + 1, size=length))[::-1]
         yield DegreeSequence(values.copy())
+
+
+def reference_sequence_input(text: str, strict: bool) -> tuple[list[int], bool]:
+    """Sequence input as first written, one Python step per token and entry:
+    parse_sequence_arg's loop, validate_sequence's checks, then the int64
+    conversion and bound checks of DegreeSequence.  Returns the decreasing
+    entries and whether they had to be sorted, or raises what the CLI path
+    raised."""
+    out: list[int] = []
+    for token in text.split(","):
+        token = token.strip()
+        try:
+            if "^" not in token:
+                out.append(int(token))
+                continue
+            value_s, count_s = token.split("^", 1)
+            value, count = int(value_s), int(count_s)
+            if count < 1:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"cannot parse sequence item {token!r} in {text!r}") from None
+        if len(out) + count > MAX_INPUT:
+            raise LimitExceeded(f"sequence length {len(out) + count} exceeds {MAX_INPUT}")
+        out.extend([value] * count)
+    if len(out) > MAX_INPUT:
+        raise LimitExceeded(f"sequence length {len(out)} exceeds {MAX_INPUT}")
+    if not out:
+        raise EmptyInput("expected at least one entry")
+    for v in out:
+        if v < 0:
+            raise NegativeEntry(f"negative entry {v} not allowed")
+    ordered = sorted(out, reverse=True)
+    if strict and out != ordered:
+        raise NotDecreasing(f"entries {out} are not in decreasing order")
+    if ordered[0] >= 1 << 63:
+        raise LimitExceeded(f"entries must not exceed the supported bound {MAX_INPUT}")
+    if ordered[0] > MAX_INPUT:
+        raise LimitExceeded(f"entry {ordered[0]} exceeds {MAX_INPUT}")
+    return ordered, out != ordered

@@ -33,10 +33,10 @@ def run(capsys, *argv):
 
 class TestSequenceArgs:
     def test_plain_and_runs(self):
-        assert parse_sequence_arg("4,4,1,1") == [4, 4, 1, 1]
-        assert parse_sequence_arg("4^2,1^2") == [4, 4, 1, 1]
-        assert parse_sequence_arg("5^3") == [5, 5, 5]
-        assert parse_sequence_arg("4^2,3,1^2") == [4, 4, 3, 1, 1]
+        assert parse_sequence_arg("4,4,1,1").tolist() == [4, 4, 1, 1]
+        assert parse_sequence_arg("4^2,1^2").tolist() == [4, 4, 1, 1]
+        assert parse_sequence_arg("5^3").tolist() == [5, 5, 5]
+        assert parse_sequence_arg("4^2,3,1^2").tolist() == [4, 4, 3, 1, 1]
 
     @pytest.mark.parametrize("bad", ["3,1,x", "4^,1", "4^0", "", "1,,2"])
     def test_bad_tokens(self, bad):

@@ -43,6 +43,53 @@ def class_argv(command, params):
     ]
 
 
+def graphic_pair_text(n, p, seed):
+    """A graphic pair as CLI text: seeded Binomial(n, p) left degrees, and
+    right degrees as even as their sum allows, so every prefix of the left
+    side fits under the right side's caps."""
+    left = np.sort(np.random.default_rng(seed).binomial(n, p, size=n))[::-1]
+    q, r = divmod(int(left.sum()), n)
+    return ",".join(map(str, left.tolist())), ",".join([str(q + 1)] * r + [str(q)] * (n - r))
+
+
+def answer_peak(argv):
+    """A call's exit code, stdout, and the peak of memory traced while it
+    ran, in bytes.  The parser is built before tracing starts."""
+    call(["check-pair", "--left", "1", "--right", "1"])
+    tracemalloc.start()
+    try:
+        code, out, _ = call(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, out, peak
+
+
+class TestAnswerPeakMemory:
+    """Each large JSON answer is written once: its peak stays within a bound
+    set between the answer's size and what copying it three more times took."""
+
+    def test_realize_json(self):
+        left, right = graphic_pair_text(2000, 0.05, seed=11)
+        code, out, peak = answer_peak(["check-pair", "--left", left, "--right", right,
+                                       "--realize", "--json"])
+        assert code == 0 and len(json.loads(out)["edges"]) > 150_000
+        assert peak <= 9 * 2**20
+
+    def test_pair_json(self):
+        left, right = graphic_pair_text(8000, 0.05, seed=12)
+        code, out, peak = answer_peak(["check-pair", "--left", left, "--right", right, "--json"])
+        assert code == 0 and json.loads(out)["left"] == [int(v) for v in left.split(",")]
+        assert peak <= 2**20
+
+    def test_class_json(self):
+        m = 1 << 19
+        code, out, peak = answer_peak(class_argv("check-class", ClassParams(9, 1, 7, 1, m, m, 3 * m // 2))
+                                      + ["--json"])
+        assert code in (0, 1) and len(json.loads(out)["E"]) == m
+        assert peak <= 6 * 2**20
+
+
 class TestFormatRuns:
     def test_matches_entrywise_definition(self):
         sequences = [DegreeSequence(v) for v in ([7], [0], [0, 0, 0], [5, 5, 5], [3, 0])]

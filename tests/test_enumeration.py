@@ -1,6 +1,7 @@
 """Class generation, counting, and the brute-force oracle."""
 
 import random
+import time
 from itertools import combinations_with_replacement
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from bgseq import (
     ClassParams,
     DegreeSequence,
+    LimitExceeded,
     OracleBudgetExceeded,
     OracleVerdict,
     brute_force_all_graphic,
@@ -161,6 +163,17 @@ class TestCountClass:
         assert _count_side(9, 1, 2000, 6000) == 76872073450059115
         assert _count_side(9, 1, 2000, 6000, cap=10**7) > 10**7
         assert _count_side(1026, 0, 1026, 1 << 19, cap=10**7) is None
+
+    def test_refuses_a_side_too_long_to_count(self):
+        # Counting one side of this class exactly took 177 s.
+        start = time.perf_counter()
+        with pytest.raises(LimitExceeded, match="steps"):
+            count_class(ClassParams(1026, 0, 1026, 0, 1026, 1026, 1 << 19))
+        assert time.perf_counter() - start < 1
+
+    def test_acceptance_grid_stays_exact(self):
+        # The benchmark counts the pairs of every class of this grid.
+        assert sum(count_class(params) for params in grid_params(6)) == 20731
 
     def test_pair_count_matches_generator(self):
         for params in grid_params(5):

@@ -27,6 +27,7 @@ from bgseq import (
 from bgseq.cli import EXIT_INVALID, parse_sequence_arg
 from bgseq.enumeration import _walk
 from bgseq.seqcore import _side_nonempty
+from helpers import reference_sequence_input
 
 
 def decseq(max_len=12, max_val=12, min_val=0):
@@ -79,6 +80,58 @@ class TestValidateSequence:
         proc = subprocess.run([sys.executable, "-m", "bgseq.cli", *argv],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == EXIT_INVALID and "Traceback" not in proc.stderr
+
+
+# Items the CLI must read exactly as int() does, or refuse with the message
+# the per-token reference gives.
+HOSTILE_ITEMS = [
+    "1.0", "--1", "1e3", "", " ", "^", "3^0", "3^-1", "4^", "^2", "4^2^3", "x", "1\x00", "0x10",
+    " 3 ", "\t5\n", "1_000", "+3", "\u0663", "-2", "-0", "0",
+    "99999999999999999999", "-99999999999999999999", "9223372036854775807", "9223372036854775808",
+    str(MAX_INPUT), str(MAX_INPUT + 1), f"1^{MAX_INPUT}", f"2^{MAX_INPUT + 1}",
+    "3^99999999999999999999",
+]
+ITEMS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.tuples(st.integers(0, 12), st.integers(1, 4)).map(lambda vc: f"{vc[0]}^{vc[1]}"),
+    st.sampled_from(HOSTILE_ITEMS),
+)
+
+
+def both_paths(text, strict):
+    """(reference outcome, CLI input path outcome): the entries and the
+    sorted flag, or the exception's class and message."""
+    outcomes = []
+    for read in (lambda: reference_sequence_input(text, strict),
+                 lambda: validate_sequence(parse_sequence_arg(text), strict=strict)):
+        try:
+            entries, was_sorted = read()
+            outcomes.append((list(entries), was_sorted))
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+class TestSequenceInputPath:
+    @given(st.lists(ITEMS, min_size=1, max_size=8).map(",".join), st.booleans())
+    def test_matches_per_token_reference(self, text, strict):
+        want, got = both_paths(text, strict)
+        assert got == want
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_each_hostile_item_in_every_position(self, strict):
+        for item in HOSTILE_ITEMS:
+            for text in (item, f"{item},2", f"2,{item}", f"1,{item},3", f"-1,{item}"):
+                want, got = both_paths(text, strict)
+                assert got == want, text
+
+    def test_plain_text_longer_than_bound(self):
+        with pytest.raises(LimitExceeded, match=f"^sequence length {MAX_INPUT + 1} exceeds"):
+            parse_sequence_arg(",".join(["1"] * (MAX_INPUT + 1)))
+
+    def test_returns_int64_array(self):
+        for text in ("4,4,1,1", "4^2,1^2", " 7 ,+3,1_0"):
+            assert parse_sequence_arg(text).dtype == np.int64
 
 
 class TestDegreeSequence:

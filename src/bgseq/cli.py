@@ -88,7 +88,7 @@ def parse_sequence_arg(text: str) -> np.ndarray:
     try:
         values = np.array(items, dtype=np.int64)
     except (ValueError, OverflowError):
-        return _parse_items(text, items)
+        values = _parse_items(text, items)
     if values.size > MAX_INPUT:
         raise LimitExceeded(f"sequence length {values.size} exceeds {MAX_INPUT}")
     return values
@@ -97,7 +97,7 @@ def parse_sequence_arg(text: str) -> np.ndarray:
 def _parse_items(text: str, items: list[str]) -> np.ndarray:
     # Item by item in input order: the first bad item is named, and a run
     # that would take the length above MAX_INPUT raises before it is
-    # expanded.  Values beyond int64 stay exact, as objects.
+    # expanded.
     values, counts, length = [], [], 0
     for item in items:
         head, mark, tail = item.partition("^")
@@ -112,12 +112,10 @@ def _parse_items(text: str, items: list[str]) -> np.ndarray:
         values.append(value)
         counts.append(count)
         length += count
-    if length > MAX_INPUT:
-        raise LimitExceeded(f"sequence length {length} exceeds {MAX_INPUT}")
     try:
         return np.repeat(np.array(values, dtype=np.int64), counts)
     except OverflowError:
-        return np.repeat(np.array(values, dtype=object), counts)
+        raise LimitExceeded(f"entries must not exceed the supported bound {MAX_INPUT}") from None
 
 
 def format_runs(seq: DegreeSequence | BlockForm) -> str:
@@ -306,13 +304,14 @@ def _pair_object(e: DegreeSequence, f: DegreeSequence, verdict) -> dict:
 
 def _edge_rows(real: BipartiteRealization) -> Iterator[tuple[int, list[str]]]:
     # Each left vertex that has edges, with its right ends as text: realize
-    # returns the rows sorted, so one slice per left vertex.
+    # returns the rows sorted, so one slice per left vertex, whose labels
+    # come from one index into a table of right labels.
     labels = np.array(list(map(str, range(len(real.right_degrees) + 1))), dtype=object)
-    right = labels[real.edges[:, 1]].tolist()
+    right = real.edges[:, 1]
     start = 0
     for u, deg in enumerate(real.left_degrees.values.tolist(), 1):
         if deg:
-            yield u, right[start:start + deg]
+            yield u, labels[right[start:start + deg]].tolist()
             start += deg
 
 

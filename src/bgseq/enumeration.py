@@ -39,12 +39,9 @@ __all__ = [
 DEFAULT_ORACLE_BUDGET = 10**7
 
 # Side counts that take more steps than this are first bounded from below,
-# so that a class far above the oracle budget is refused quickly.
+# so that a class far above the oracle budget is refused quickly, and
+# count_class refuses them.
 EXACT_COUNT_STEPS = 1 << 20
-
-# count_class refuses a side whose exact count takes more integer steps than
-# this: about a second on a 2-vCPU VM.
-COUNT_STEP_LIMIT = 1 << 22
 
 # Every 1000th scanned pair is re-tested with the full dominance check.
 SPOT_STRIDE = 1000
@@ -188,8 +185,8 @@ def _count_side(A: int, B: int, L: int, S: int, cap: int | None = None) -> int |
     total = min(total, parts * size - total)
     parts, size = min(parts, total), min(size, total)
     steps = min(parts, size) * total
-    if cap is None and steps > COUNT_STEP_LIMIT:
-        raise LimitExceeded(f"counting a side exactly takes {steps} steps, above {COUNT_STEP_LIMIT}")
+    if cap is None and steps > EXACT_COUNT_STEPS:
+        raise LimitExceeded(f"counting a side exactly takes {steps} steps, above {EXACT_COUNT_STEPS}")
     if cap is None or steps <= EXACT_COUNT_STEPS:
         return _box_partitions(parts, size, total)
     # The box counts also rise up to the middle (Sylvester), so the count at
@@ -205,7 +202,7 @@ def _count_side(A: int, B: int, L: int, S: int, cap: int | None = None) -> int |
 def count_class(params: ClassParams) -> int:
     """Exact size of the class, |left side| * |right side|, without
     enumerating anything.  Raises LimitExceeded when counting a side would
-    take more than ``COUNT_STEP_LIMIT`` integer steps (a side's count costs
+    take more than ``EXACT_COUNT_STEPS`` integer steps (a side's count costs
     min(parts, size) * total steps, as in ``_box_partitions``)."""
     left = _count_side(params.a, params.b, params.m, params.S)
     if left == 0:
@@ -217,7 +214,7 @@ def count_class(params: ClassParams) -> int:
 def _side_matrix(A: int, B: int, L: int, S: int) -> np.ndarray:
     rows = list(_walk(A, B, L, S))
     arr = np.array(rows, dtype=np.int64).reshape(len(rows), L)
-    assert arr.shape[0] == _count_side(A, B, L, S)
+    assert arr.shape[0] == _count_side(A, B, L, S, cap=arr.shape[0])
     arr.setflags(write=False)
     return arr
 

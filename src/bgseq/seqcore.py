@@ -136,31 +136,28 @@ def validate_sequence(raw: Iterable[int], strict: bool = True) -> ValidatedSeque
     An int64 array is checked as it is in O(n) numpy steps (``np.sort`` when
     sorting); any other iterable first takes one ``operator.index`` per entry.
     """
-    # Integers beyond int64 are kept exactly, as objects, so that they meet
-    # the checks below in the same order as any other entry.
     arr = raw
     if not isinstance(arr, np.ndarray) or arr.dtype != np.int64:
-        values = [operator.index(v) for v in raw]
         try:
-            arr = np.array(values, dtype=np.int64)
+            arr = np.array([operator.index(v) for v in raw], dtype=np.int64)
         except OverflowError:
-            arr = np.array(values, dtype=object)
+            raise LimitExceeded(f"entries must not exceed the supported bound {MAX_INPUT}") from None
     if arr.size == 0:
         raise EmptyInput("expected at least one entry")
-    negative = arr < 0
-    if negative.any():
-        raise NegativeEntry(f"negative entry {arr[negative.argmax()]} not allowed")
-    unsorted = bool((arr[1:] > arr[:-1]).any())
-    if unsorted and strict:
-        raise NotDecreasing(f"entries {arr.tolist()} are not in decreasing order")
-    if arr.dtype != np.int64:
-        raise LimitExceeded(f"entries must not exceed the supported bound {MAX_INPUT}")
     if arr.size > MAX_INPUT:
         raise LimitExceeded(f"sequence length {arr.size} exceeds {MAX_INPUT}")
+    if arr.min() < 0:
+        raise NegativeEntry(f"negative entry {arr[np.argmax(arr < 0)]} not allowed")
+    rises = arr[1:] > arr[:-1]
+    if strict and rises.any():
+        i = int(rises.argmax()) + 1
+        raise NotDecreasing(f"entries are not in decreasing order: entry {i + 1} is {arr[i]}, "
+                            f"after {arr[i - 1]}")
     if arr.max() > MAX_INPUT:
         raise LimitExceeded(f"entry {arr.max()} exceeds {MAX_INPUT}")
-    arr = -np.sort(-arr) if unsorted else arr.copy()
-    return ValidatedSequence(DegreeSequence._from_trusted(arr), unsorted)
+    was_sorted = bool(rises.any())
+    arr = -np.sort(-arr) if was_sorted else arr.copy()
+    return ValidatedSequence(DegreeSequence._from_trusted(arr), was_sorted)
 
 
 def min_cap_sum(f: DegreeSequence, k: int) -> int:

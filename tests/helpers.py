@@ -157,10 +157,12 @@ def random_decreasing(count: int, seed: int, max_len: int = 40, max_val: int = 6
 
 def reference_sequence_input(text: str, strict: bool) -> tuple[list[int], bool]:
     """Sequence input as first written, one Python step per token and entry:
-    parse_sequence_arg's loop, validate_sequence's checks, then the int64
-    conversion and bound checks of DegreeSequence.  Returns the decreasing
-    entries and whether they had to be sorted, or raises what the CLI path
-    raised."""
+    parse_sequence_arg's loop, validate_sequence's checks, then the bound
+    checks of DegreeSequence.  Two rules are newer than that loop: an entry
+    beyond int64 is refused once every item has parsed, and unsorted input
+    names its first rise rather than listing every entry.  Returns the
+    decreasing entries and whether they had to be sorted, or raises what the
+    CLI path raises."""
     out: list[int] = []
     for token in text.split(","):
         token = token.strip()
@@ -177,6 +179,8 @@ def reference_sequence_input(text: str, strict: bool) -> tuple[list[int], bool]:
         if len(out) + count > MAX_INPUT:
             raise LimitExceeded(f"sequence length {len(out) + count} exceeds {MAX_INPUT}")
         out.extend([value] * count)
+    if any(not -(1 << 63) <= v < 1 << 63 for v in out):
+        raise LimitExceeded(f"entries must not exceed the supported bound {MAX_INPUT}")
     if len(out) > MAX_INPUT:
         raise LimitExceeded(f"sequence length {len(out)} exceeds {MAX_INPUT}")
     if not out:
@@ -184,11 +188,12 @@ def reference_sequence_input(text: str, strict: bool) -> tuple[list[int], bool]:
     for v in out:
         if v < 0:
             raise NegativeEntry(f"negative entry {v} not allowed")
+    rises = [i for i in range(1, len(out)) if out[i] > out[i - 1]]
+    if strict and rises:
+        i = rises[0]
+        raise NotDecreasing(f"entries are not in decreasing order: entry {i + 1} is {out[i]}, "
+                            f"after {out[i - 1]}")
     ordered = sorted(out, reverse=True)
-    if strict and out != ordered:
-        raise NotDecreasing(f"entries {out} are not in decreasing order")
-    if ordered[0] >= 1 << 63:
-        raise LimitExceeded(f"entries must not exceed the supported bound {MAX_INPUT}")
     if ordered[0] > MAX_INPUT:
         raise LimitExceeded(f"entry {ordered[0]} exceeds {MAX_INPUT}")
-    return ordered, out != ordered
+    return ordered, bool(rises)

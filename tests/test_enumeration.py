@@ -137,16 +137,18 @@ class TestCountClass:
                         ), (A, B, L, S)
 
     def test_capped_count_is_exact_or_above_cap(self, monkeypatch):
-        # Force the lower-bound route even for small sides.
-        monkeypatch.setattr(enumeration, "EXACT_COUNT_STEPS", 0)
         rng = random.Random(7)
-        stopped = 0
+        sides = []
         for _ in range(2000):
             A = rng.randint(0, 40)
             B = rng.randint(0, A)
             L = rng.randint(1, 40)
             S = rng.randint(0, A * L)
-            exact = _count_side(A, B, L, S)
+            sides.append((A, B, L, S, _count_side(A, B, L, S)))
+        # Force the lower-bound route even for small sides.
+        monkeypatch.setattr(enumeration, "EXACT_COUNT_STEPS", 0)
+        stopped = 0
+        for A, B, L, S, exact in sides:
             cap = rng.choice([0, 10, 1000, 10**6, 10**12, exact, max(exact - 1, 0)])
             got = _count_side(A, B, L, S, cap=cap)
             if got is None:

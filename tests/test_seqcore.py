@@ -67,6 +67,20 @@ class TestValidateSequence:
         with pytest.raises(LimitExceeded):
             DegreeSequence([MAX_INPUT + 1])
 
+    def test_unsorted_message_is_short(self):
+        with pytest.raises(NotDecreasing) as info:
+            DegreeSequence(np.arange(MAX_INPUT))
+        assert str(info.value) == "entries are not in decreasing order: entry 2 is 1, after 0"
+
+    def test_length_checked_before_order(self):
+        with pytest.raises(LimitExceeded, match=f"^sequence length {MAX_INPUT + 1} exceeds"):
+            DegreeSequence(np.arange(MAX_INPUT + 1))
+
+    @pytest.mark.parametrize("entries", [[2**63], [3, -(2**63) - 1], [2**70, -1]])
+    def test_beyond_int64_refused(self, entries):
+        with pytest.raises(LimitExceeded, match="supported bound"):
+            validate_sequence(entries, strict=False)
+
     @pytest.mark.parametrize("text", [f"1^{MAX_INPUT + 1}", f"1^{MAX_INPUT},1", "3^99999999999"])
     def test_run_length_bounded_before_expanding(self, text):
         with pytest.raises(LimitExceeded):

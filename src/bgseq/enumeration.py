@@ -164,11 +164,13 @@ def _box_partitions(parts: int, size: int, total: int) -> int:
     return coeffs[total]
 
 
+@lru_cache(maxsize=1 << 14)
 def _count_side(A: int, B: int, L: int, S: int, cap: int | None = None) -> int | None:
     """Number of decreasing length-L sequences with max A, min B and sum S.
 
     With ``cap``, returns None as soon as that number is known to exceed
-    ``cap``, without finishing the count."""
+    ``cap``, without finishing the count.  Cached, because the oracle counts
+    both sides of every class it is asked about."""
     if L == 1:
         return 1 if A == B == S else 0
     if A < B:
@@ -241,9 +243,12 @@ def brute_force_all_graphic(params: ClassParams, budget: int | None = None) -> C
 
     Scans the Cartesian product in enumeration order with the strong-index
     kernel, spot-validating a deterministic 1-in-1000 subsample against the
-    full dominance test.  Refuses classes above the pair budget.
+    full dominance test.  Refuses classes above the pair budget, and a
+    negative budget with ValueError.
     """
     limit = DEFAULT_ORACLE_BUDGET if budget is None else operator.index(budget)
+    if limit < 0:
+        raise ValueError("budget must be nonnegative")
     left = _count_side(params.a, params.b, params.m, params.S, cap=limit)
     right = _count_side(params.c, params.d, params.n, params.S, cap=limit)
     if left == 0 or right == 0:

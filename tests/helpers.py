@@ -106,6 +106,39 @@ def tie_heavy_graphic_pairs(count: int, seed: int, max_side: int = 12):
         yield DegreeSequence(e.copy()), DegreeSequence(f.copy())
 
 
+def structured_graphic_pairs(count: int, seed: int, max_side: int = 60):
+    """Degree-sequence pairs of seeded bipartite graphs of the shapes that
+    stress the greedy's levels: staircases (Ferrers diagrams), right sides of
+    distinct values with gaps, regular sides (circulants), zero-heavy right
+    sides and right sides of one long block.  Graphic by construction; both
+    sides at most ``max_side`` long."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        m = int(rng.integers(1, max_side + 1))
+        n = int(rng.integers(1, max_side + 1))
+        kind = trial % 5
+        if kind == 0:
+            adj = np.tri(m, n, int(rng.integers(-m, n)), dtype=bool)
+        elif kind == 3:
+            d = int(rng.integers(0, n + 1))
+            adj = np.zeros((m, n), dtype=bool)
+            for i in range(m):
+                adj[i, (i * d + np.arange(d)) % n] = True
+        else:
+            # Fill column j with f_j ones on random rows.
+            if kind == 1:
+                step = int(rng.integers(1, 4))
+                f = np.arange(m, -1, -step)[rng.permutation(m // step + 1)[:n]]
+            elif kind == 2:
+                f = rng.integers(1, m + 1, size=n) * (rng.random(n) < 0.2)
+            else:
+                f = np.full(n, int(rng.integers(0, m + 1)))
+            adj = rng.random((m, f.size)).argsort(axis=0) < f
+        e = np.sort(adj.sum(axis=1).astype(np.int64))[::-1]
+        f = np.sort(adj.sum(axis=0).astype(np.int64))[::-1]
+        yield DegreeSequence(e.copy()), DegreeSequence(f.copy())
+
+
 def reference_realize_edges(e: DegreeSequence, f: DegreeSequence) -> list[list[int]]:
     """Ryser's greedy as first written, kept to pin the tie-break: one lexsort
     per left vertex (largest residual first, then smallest index), edges

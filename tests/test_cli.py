@@ -156,6 +156,14 @@ class TestCheckClass:
         assert code == EXIT_INVALID
         assert "budget" in err
 
+    def test_negative_budget_refused(self, capsys):
+        # The class is empty, so no count can be above the budget.
+        code, out, err = run(
+            capsys, "check-class", "-a", "2", "-b", "1", "-c", "2", "-d", "1",
+            "-m", "3", "-n", "3", "-S", "3", "--verify", "--budget", "-1",
+        )
+        assert (code, out, err) == (EXIT_INVALID, "", "error: budget must be nonnegative\n")
+
     def test_long_one_pair_class_verifies(self, capsys):
         code, out, err = run(
             capsys, "check-class", "-a", "2", "-b", "1", "-c", "2", "-d", "1",

@@ -145,12 +145,13 @@ class TestCountClass:
             L = rng.randint(1, 40)
             S = rng.randint(0, A * L)
             sides.append((A, B, L, S, _count_side(A, B, L, S)))
-        # Force the lower-bound route even for small sides.
+        # Force the lower-bound route even for small sides, past the cache,
+        # which must not keep counts made under the patched constant.
         monkeypatch.setattr(enumeration, "EXACT_COUNT_STEPS", 0)
         stopped = 0
         for A, B, L, S, exact in sides:
             cap = rng.choice([0, 10, 1000, 10**6, 10**12, exact, max(exact - 1, 0)])
-            got = _count_side(A, B, L, S, cap=cap)
+            got = _count_side.__wrapped__(A, B, L, S, cap=cap)
             if got is None:
                 assert exact > cap, (A, B, L, S, cap)
                 stopped += 1
@@ -226,6 +227,12 @@ class TestBudget:
     def test_explicit_budget_allows(self):
         witness = brute_force_all_graphic(ClassParams(4, 1, 4, 1, 4, 4, 10), budget=4)
         assert witness.verdict is OracleVerdict.FOUND_NON_GRAPHIC
+
+    def test_refuses_a_negative_budget(self):
+        # Before counting: an empty class must not read as above the budget.
+        for params in (ClassParams(2, 1, 2, 1, 3, 3, 3), ClassParams(4, 1, 4, 1, 4, 4, 10)):
+            with pytest.raises(ValueError, match="budget must be nonnegative"):
+                brute_force_all_graphic(params, budget=-1)
 
     def test_refuses_far_above_budget(self):
         params = ClassParams(1026, 0, 1026, 0, 1026, 1026, 1 << 19)

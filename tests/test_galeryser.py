@@ -17,6 +17,8 @@ from bgseq import (
     realize,
     zz_check,
 )
+from bgseq import galeryser
+from bgseq.seqcore import to_blocks
 from helpers import all_decreasing, random_pair_corpus
 
 
@@ -183,16 +185,47 @@ class TestRealize:
         assert realize(seq(0, 0), seq(0)).edges.shape == (0, 2)
 
     def test_matches_lexsort_reference(self):
-        # The argpartition selection keeps the original greedy's tie-break:
-        # same edges, same order, on tie-heavy pairs with zero degrees, full
-        # rows and single vertices.
-        from helpers import reference_realize_edges, tie_heavy_graphic_pairs
+        # The residual levels keep the original greedy's tie-break: same
+        # edges, same order, on tie-heavy pairs with zero degrees, full rows
+        # and single vertices, and on staircases, right sides of distinct
+        # values with gaps, regular, zero-heavy and one-block right sides.
+        from helpers import (
+            reference_realize_edges,
+            structured_graphic_pairs,
+            tie_heavy_graphic_pairs,
+        )
 
         shapes = set()
         for e, f in tie_heavy_graphic_pairs(2_500, seed=11):
             assert realize(e, f).edges.tolist() == reference_realize_edges(e, f), (e, f)
             shapes.add((len(e) == 1, len(f) == 1, e.smallest == 0, e.largest == len(f)))
         assert len(shapes) >= 12
+        right_shapes = set()
+        for e, f in structured_graphic_pairs(1_500, seed=12):
+            assert realize(e, f).edges.tolist() == reference_realize_edges(e, f), (e, f)
+            runs = len(to_blocks(f).blocks)
+            right_shapes.add((runs == 1, runs == len(f), f.smallest == 0))
+        assert len(right_shapes) == 8
+
+    def test_large_sparse_pair(self):
+        # n = 10^5 with about 10^6 edges: one scan of the right side per
+        # left vertex took 28 s here.
+        rng = np.random.default_rng(3)
+        n = 100_000
+        cells = np.unique(rng.integers(0, n * n, size=1_000_000))
+        e, f = (DegreeSequence(np.sort(np.bincount(ends, minlength=n))[::-1].copy())
+                for ends in (cells // n, cells % n))
+        real = realize(e, f)
+        assert len(real.edges) == cells.size and real.degree_audit()
+
+    def test_guards_catch_a_pair_that_is_not_graphic(self, monkeypatch):
+        # Past a dominance test that lets everything through, the greedy
+        # itself notices that it cannot finish.
+        monkeypatch.setattr(galeryser, "gale_ryser", lambda e, f: PairVerdict(True, None, True))
+        with pytest.raises(RuntimeError, match="ran out of demand"):
+            realize(seq(2), seq(1))
+        with pytest.raises(RuntimeError, match="left unmet demand"):
+            realize(seq(1), seq(1, 1))
 
     def test_audit_catches_a_moved_edge(self):
         real = realize(seq(2, 1), seq(2, 1))

@@ -101,6 +101,18 @@ class TestCheckPair:
         assert obj["sums_equal"] is True
         assert obj["failing_k"] == 2
 
+    @pytest.mark.parametrize("text, value", [(" 3", 3), ("+3", 3), ("007", 7)])
+    def test_json_echoes_canonical_digits(self, capsys, text, value):
+        code, out, _ = run(capsys, "check-pair", "--left", text, "--right", f"1^{value}", "--json")
+        assert code == EXIT_OK
+        ones = ",".join(["1"] * value)
+        assert out == f'{{"left":[{value}],"right":[{ones}],"graphic":true,"sums_equal":true}}\n'
+
+    def test_json_echoes_sorted_side(self, capsys):
+        code, out, err = run(capsys, "check-pair", "--left", "1,3,02", "--right", "2^3", "--json")
+        assert code == EXIT_OK and "left sequence was sorted" in err
+        assert out.startswith('{"left":[3,2,1],"right":[2,2,2],"graphic":true')
+
 
 class TestCheckClass:
     def test_all_graphic(self, capsys):

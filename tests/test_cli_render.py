@@ -20,7 +20,7 @@ from bgseq import (
     theorem_main,
     to_blocks,
 )
-from bgseq.cli import format_runs, main
+from bgseq.cli import _json_ints, format_runs, main
 from helpers import random_decreasing, reference_format_runs
 
 
@@ -88,6 +88,21 @@ class TestAnswerPeakMemory:
                                       + ["--json"])
         assert code in (0, 1) and len(json.loads(out)["E"]) == m
         assert peak <= 6 * 2**20
+
+
+class TestJsonInts:
+    def test_matches_json_dumps(self):
+        rng = np.random.default_rng(21)
+        arrays = [np.array([v]) for v in (0, 7, 10, MAX_INPUT)] + [np.zeros(9, dtype=np.int64)]
+        for width in range(1, 8):
+            low, high = 10 ** (width - 1), min(10**width - 1, MAX_INPUT)
+            values = np.append(rng.integers(0, high + 1, size=300), [low, high])
+            arrays.append(np.sort(values)[::-1])
+        for _ in range(200):
+            values = rng.integers(0, MAX_INPUT + 1, size=int(rng.integers(1, 400)))
+            arrays.append(np.sort(values)[::-1])
+        for values in arrays:
+            assert "".join(_json_ints(values)) == json.dumps(values.tolist(), separators=(",", ":"))
 
 
 class TestFormatRuns:

@@ -2,6 +2,8 @@
 
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from bgseq import (
     to_blocks,
     validate_sequence,
 )
-from bgseq.cli import EXIT_INVALID, parse_sequence_arg
+from bgseq.cli import _PLAIN_PIECE, EXIT_INVALID, parse_sequence_arg
 from bgseq.enumeration import _walk
 from bgseq.seqcore import _side_nonempty
 from helpers import reference_sequence_input
@@ -103,7 +105,7 @@ HOSTILE_ITEMS = [
     " 3 ", "\t5\n", "1_000", "+3", "\u0663", "-2", "-0", "0",
     "99999999999999999999", "-99999999999999999999", "9223372036854775807", "9223372036854775808",
     str(MAX_INPUT), str(MAX_INPUT + 1), f"1^{MAX_INPUT}", f"2^{MAX_INPUT + 1}",
-    "3^99999999999999999999",
+    "3^99999999999999999999", "007", "00", "1" * 18, "1" * 19, "1" * 20, "1,",
 ]
 ITEMS = st.one_of(
     st.integers(-3, 12).map(str),
@@ -140,8 +142,44 @@ class TestSequenceInputPath:
                 assert got == want, text
 
     def test_plain_text_longer_than_bound(self):
-        with pytest.raises(LimitExceeded, match=f"^sequence length {MAX_INPUT + 1} exceeds"):
-            parse_sequence_arg(",".join(["1"] * (MAX_INPUT + 1)))
+        # Refused from its item count, before anything sized by the text is built.
+        for item in ("1", "10"):
+            text = ",".join([item] * (MAX_INPUT + 1))
+            tracemalloc.start()
+            try:
+                with pytest.raises(LimitExceeded, match=f"^sequence length {MAX_INPUT + 1} exceeds {MAX_INPUT}$"):
+                    parse_sequence_arg(text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, item
+
+    @pytest.mark.parametrize("bad", ["x", "", "1" * 19, " 3", "+3", "3^2", "-1", "1.0"])
+    def test_long_plain_text_ending_in_one_bad_item(self, bad):
+        # Every item before the last one is plain, so the gate reads the
+        # whole text before it sends it item by item.
+        want, got = both_paths(",".join(["5"] * 10_000 + [bad]), strict=False)
+        assert got == want
+
+    @pytest.mark.parametrize("text", [
+        "1," * _PLAIN_PIECE + "1",
+        "1," * (_PLAIN_PIECE // 2) + "1" * 18 + ",1",
+        "1," * (_PLAIN_PIECE // 2 - 1) + "1" * 19 + ",1",
+        "1," * (_PLAIN_PIECE // 2) + "1" * 40 + "," + "1," * 10 + "1",
+        "1," * _PLAIN_PIECE,
+        "1," * (_PLAIN_PIECE // 2 + 9) + ",1",
+        "0" * (_PLAIN_PIECE + 3) + "1",
+    ])
+    def test_text_longer_than_one_gate_piece(self, text):
+        want, got = both_paths(text, strict=False)
+        assert got == want
+
+    def test_plain_text_reads_without_warning(self):
+        texts = ["0", "007,00,3", ",".join(["9" * 18] * 3), ",".join(map(str, range(50_000, -1, -1)))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for text in texts:
+                assert parse_sequence_arg(text).tolist() == [int(item) for item in text.split(",")]
 
     def test_returns_int64_array(self):
         for text in ("4,4,1,1", "4^2,1^2", " 7 ,+3,1_0"):

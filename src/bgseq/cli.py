@@ -36,7 +36,6 @@ from .seqcore import (
     ClassParams,
     DegreeSequence,
     LimitExceeded,
-    class_nonempty,
     s_range,
     to_blocks,
     validate_sequence,
@@ -84,8 +83,9 @@ def parse_sequence_arg(text: str) -> np.ndarray:
     digits and commas, every item 1 to 18 digits) costs a few numpy steps
     to recognise and one ``np.fromstring`` to read, about 0.3 ms for 8,000
     entries (32 KB), and its length is bounded by MAX_INPUT before anything
-    sized by it is built.  Any other text takes one ``int()`` per item, and
-    a run is bounded by MAX_INPUT before it is expanded."""
+    sized by it is built.  Any other text takes one ``int()`` per item, keeps
+    no more than MAX_INPUT entries' worth of items, and bounds a run by
+    MAX_INPUT before it is expanded; a bad item is named with its position."""
     length = _plain_length(text)
     if length is None:
         return _parse_items(text)
@@ -103,15 +103,27 @@ _PLAIN_PIECE = 1 << 15
 _PLAIN_DIGITS = 18
 
 
+def _pieces(text: str) -> Iterator[tuple[int, int]]:
+    """Bounds (start, stop) of pieces of the text that are whole items: a
+    piece ends at the first comma at least _PLAIN_PIECE characters past its
+    start, or at the end of the text."""
+    start = 0
+    while True:
+        cut = text.find(",", start + _PLAIN_PIECE)
+        if cut < 0:
+            yield start, len(text)
+            return
+        yield start, cut
+        start = cut + 1
+
+
 def _plain_length(text: str) -> int | None:
     """The number of items of plain text (see parse_sequence_arg), or None
     for any other text."""
     if not text.isascii():
         return None
-    length, start = 0, 0
-    while True:
-        cut = text.find(",", start + _PLAIN_PIECE)
-        stop = len(text) if cut < 0 else cut
+    length = 0
+    for start, stop in _pieces(text):
         if stop - start > _PLAIN_PIECE + _PLAIN_DIGITS:
             return None  # the commaless stretch from start + _PLAIN_PIECE is one long item
         piece = text[start:stop].encode("ascii")
@@ -124,33 +136,44 @@ def _plain_length(text: str) -> int | None:
         if gaps.min() < 2 or gaps.max() > _PLAIN_DIGITS + 1:
             return None
         length += gaps.size
-        if cut < 0:
-            return length
-        start = cut + 1
+    return length
 
 
 def _parse_items(text: str) -> np.ndarray:
-    # Item by item in input order: the first bad item is named, and a run
-    # that would take the length above MAX_INPUT raises before it is
-    # expanded.
-    values, counts, length = [], [], 0
-    for item in text.split(","):
-        head, mark, tail = item.partition("^")
-        try:
-            value, count = int(head), int(tail) if mark else 1
-            if count < 1:
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"cannot parse sequence item {item.strip()!r} in {text!r}") from None
-        if mark and length + count > MAX_INPUT:
-            raise LimitExceeded(f"sequence length {length + count} exceeds {MAX_INPUT}")
-        values.append(value)
-        counts.append(count)
-        length += count
+    # Item by item in input order, one piece of the text at a time: the
+    # first bad item is named by its position, and a run that would take the
+    # length above MAX_INPUT raises before it is expanded.  Items are kept
+    # only while the length is within MAX_INPUT, so nothing sized beyond the
+    # bound is built; later ones are still parsed, and an entry beyond int64
+    # among them is still refused as one.
+    values, counts, length, wide, done = [], [], 0, False, 0
+    for start, stop in _pieces(text):
+        items = text[start:stop].split(",")
+        for item in items:
+            head, mark, tail = item.partition("^")
+            try:
+                value, count = int(head), int(tail) if mark else 1
+                if count < 1:
+                    raise ValueError
+            except ValueError:
+                # Items equal to this one fail alike, so the first is this one.
+                index = done + items.index(item) + 1
+                raise ValueError(f"cannot parse sequence item {item.strip()!r} (item {index})") from None
+            if mark and length + count > MAX_INPUT:
+                raise LimitExceeded(f"sequence length {length + count} exceeds {MAX_INPUT}")
+            length += count
+            if length <= MAX_INPUT:
+                values.append(value)
+                counts.append(count)
+            elif not -(1 << 63) <= value < 1 << 63:
+                wide = True
+        done += len(items)
     try:
         values = np.array(values, dtype=np.int64)
     except OverflowError:
-        raise LimitExceeded(f"entries must not exceed the supported bound {MAX_INPUT}") from None
+        wide = True
+    if wide:
+        raise LimitExceeded(f"entries must not exceed the supported bound {MAX_INPUT}")
     if length > MAX_INPUT:
         raise LimitExceeded(f"sequence length {length} exceeds {MAX_INPUT}")
     return np.repeat(values, counts)
@@ -436,7 +459,7 @@ def cmd_check_class(args) -> int:
             "m": params.m,
             "n": params.n,
             "S": params.S,
-            "nonempty": class_nonempty(params),
+            "nonempty": report.verdict is not Verdict.VACUOUS,
             "verdict": report.verdict.value,
         }
         if report.branch is not None:
@@ -583,8 +606,42 @@ def _add_class_opts(sub: argparse.ArgumentParser, with_sum: bool = True) -> None
         sub.add_argument("-S", type=int, required=True, help="common sum")
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """The top-level parser.  argparse's own pass over an argv classifies
+    every argument after the command name against the top-level options and
+    then hands all of them to the command's parser, which classifies them
+    again.  That first pass is discarded work, and it cannot fail: the only
+    top-level options are -h and --help, so any prefix matches at most one of
+    them.  An argv whose first string is a command name therefore goes
+    straight to that command's parser, and each argv is read once.  Anything
+    else (help, an unknown or abbreviated command, an empty argv) takes
+    argparse's own path, and ``parse_args`` still reports unrecognized
+    arguments with the top-level usage line."""
+
+    def add_subparsers(self, **kwargs):
+        # The commands' parsers are plain ones: argparse would make them of
+        # this class.
+        kwargs.setdefault("parser_class", argparse.ArgumentParser)
+        self._commands = super().add_subparsers(**kwargs)
+        return self._commands
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        command = self._commands.choices.get(args[0]) if args else None
+        if command is None:
+            return super().parse_known_args(args, namespace)
+        # As the subparsers action does: the command's parser fills a fresh
+        # namespace, which is copied over the caller's.
+        parsed, extras = command.parse_known_args(args[1:])
+        namespace = argparse.Namespace() if namespace is None else namespace
+        setattr(namespace, self._commands.dest, args[0])
+        for key, value in vars(parsed).items():
+            setattr(namespace, key, value)
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _CommandParser(
         prog="bgseq",
         description="Bipartite graphicality of degree-sequence pairs and parameter classes.",
     )

@@ -197,7 +197,7 @@ def reference_sequence_input(text: str, strict: bool) -> tuple[list[int], bool]:
     decreasing entries and whether they had to be sorted, or raises what the
     CLI path raises."""
     out: list[int] = []
-    for token in text.split(","):
+    for index, token in enumerate(text.split(","), 1):
         token = token.strip()
         try:
             if "^" not in token:
@@ -208,7 +208,7 @@ def reference_sequence_input(text: str, strict: bool) -> tuple[list[int], bool]:
             if count < 1:
                 raise ValueError
         except ValueError:
-            raise ValueError(f"cannot parse sequence item {token!r} in {text!r}") from None
+            raise ValueError(f"cannot parse sequence item {token!r} (item {index})") from None
         if len(out) + count > MAX_INPUT:
             raise LimitExceeded(f"sequence length {len(out) + count} exceeds {MAX_INPUT}")
         out.extend([value] * count)

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, output formats, round-trips."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -557,3 +558,69 @@ class TestHostileArgv:
         if code == EXIT_INVALID:
             assert err.getvalue()
 
+
+_CLASS = ("-a", "4", "-b", "1", "-c", "4", "-d", "1", "-m", "4", "-n", "4", "-S", "10")
+_HOSTILE_ARGVS = [
+    [], ["-h"], ["--help"], ["--he"], ["-hx"], ["-h", "check-class"], ["bogus", "-h"],
+    ["check-class", "-h"], ["check-class", "--he"], ["check-class", "--h"],
+    ["--", "check-class", *_CLASS], ["check-class", "--", *_CLASS], ["check-class", *_CLASS, "--"],
+    ["check-clas", *_CLASS], ["check"], ["Check-class"], ["check-class"],
+    ["check-class", *_CLASS, "extra"], ["check-class", *_CLASS, "extra", "--more", "-x"],
+    ["check-pair", "--left=2,2", "--right=2,2"], ["check-pair", "--lef", "2,2", "--rig", "2,2"],
+    ["check-pair", "--left", "2,2", "--right", "2,2", "--re"],
+    ["check-class", "-a3", "-b1", "-c3", "-d1", "-m3", "-n3", "-S6"],
+    ["sweep", "-a", "3", "-b", "1", "-c", "3", "-d", "1", "-m", "3", "-n", "3", "--form", "json"],
+    ["sweep", "-a", "3", "-b", "1", "-c", "3", "-d", "1", "-m", "3", "-n", "3", "--format", "xml"],
+    ["check-class", *_CLASS, *_CLASS], ["check-class", *_CLASS, "--json", "--json", "--verify"],
+    ["check-class", "-5"], ["check-class", "-"], ["-5"], ["-"], ["--"], ["--", "--"],
+    ["check-class", *_CLASS, "--bud", "3"], ["check-class", *_CLASS, "-S=5"],
+    ["check-class", *_CLASS, "--verify=1"], ["check-class", "check-class", *_CLASS],
+]
+
+
+def _parse_outcome(parse, argv):
+    """What one parse gives: the namespace and leftover arguments, or the
+    exit code and the bytes written on the way out."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace, extras = parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    assert not out.getvalue() and not err.getvalue()
+    return vars(namespace), extras
+
+
+class TestParseDispatch:
+    """An argv that starts with a command goes straight to that command's
+    parser; the result is what argparse's own top-level pass gives."""
+
+    @staticmethod
+    def both_ways(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["symmetric", "-a", "2", "-b", "1", "-m", "3"])  # main builds its parser once
+        fresh = cli.build_parser()
+        return (_parse_outcome(cli._parser.parse_known_args, list(argv)),
+                _parse_outcome(lambda args: argparse.ArgumentParser.parse_known_args(fresh, args),
+                               list(argv)))
+
+    @pytest.mark.parametrize("argv", _HOSTILE_ARGVS, ids=" ".join)
+    def test_hostile_argv(self, argv):
+        got, want = self.both_ways(argv)
+        assert got == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(_ARGV)
+    def test_fuzzed_argv(self, argv):
+        got, want = self.both_ways(argv)
+        assert got == want
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["bgseq", "symmetric", "-a", "4", "-b", "1", "-m", "4"])
+        assert main() == EXIT_NEGATIVE
+        assert capsys.readouterr().out.startswith("condition 4*m*b >= (a+b)^2 - 1: fails")
+        monkeypatch.setattr("sys.argv", ["bgseq"])
+        with pytest.raises(SystemExit) as err:
+            main()
+        assert err.value.code == EXIT_INVALID
+        assert "required: command" in capsys.readouterr().err

@@ -26,9 +26,11 @@ from bgseq import (
     to_blocks,
     validate_sequence,
 )
+import bgseq.cli as cli
 from bgseq.cli import _PLAIN_PIECE, EXIT_INVALID, parse_sequence_arg
 from bgseq.enumeration import _walk
 from bgseq.seqcore import _side_nonempty
+import helpers
 from helpers import reference_sequence_input
 
 
@@ -153,6 +155,51 @@ class TestSequenceInputPath:
             finally:
                 tracemalloc.stop()
             assert peak < 2**20, item
+
+    def test_long_text_that_is_not_plain(self):
+        # Items past MAX_INPUT entries are parsed but not kept, and the
+        # message names the bad item by its position, not by quoting the text.
+        cases = [
+            (",".join([" 1"] * (MAX_INPUT + 1)), LimitExceeded,
+             f"sequence length {MAX_INPUT + 1} exceeds {MAX_INPUT}"),
+            ("1," * MAX_INPUT + "x", ValueError,
+             f"cannot parse sequence item 'x' (item {MAX_INPUT + 1})"),
+        ]
+        for text, error, message in cases:
+            tracemalloc.start()
+            try:
+                with pytest.raises(error) as info:
+                    parse_sequence_arg(text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(info.value) == message
+            assert len(message.encode()) < 100
+            assert peak < 32 * 2**20, message
+
+    def test_items_past_the_bound_are_not_kept(self, monkeypatch):
+        # With the bound lowered to 10^4, 3 * 10^5 items would keep about
+        # 5 MB of values and counts; only one piece of the text is held.
+        monkeypatch.setattr(cli, "MAX_INPUT", 10_000)
+        text = ",".join([" 1"] * 300_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitExceeded, match="^sequence length 300000 exceeds 10000$"):
+                parse_sequence_arg(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+
+    @pytest.mark.parametrize("bad", ["1" * 20, "2^3", "x"])
+    def test_item_past_the_bound_still_counts(self, bad, monkeypatch):
+        # Once items are no longer kept, an entry beyond int64 still outranks
+        # the length, a run still raises where it stands and a bad item is
+        # still named by its position (30,001, three pieces in).
+        for module in (cli, helpers):
+            monkeypatch.setattr(module, "MAX_INPUT", 10_000)
+        want, got = both_paths(" 1," * 30_000 + bad, strict=False)
+        assert got == want
 
     @pytest.mark.parametrize("bad", ["x", "", "1" * 19, " 3", "+3", "3^2", "-1", "1.0"])
     def test_long_plain_text_ending_in_one_bad_item(self, bad):

@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from . import criterion
 from .criterion import (
+    CanonicalDecomposition,
+    CriterionReport,
     EmptyClass,
     Verdict,
     decompose,
@@ -49,7 +50,6 @@ __all__ = [
     "EXIT_VACUOUS",
     "VERDICT_EXIT",
     "SWEEP_FIELDS",
-    "SweepRow",
     "parse_sequence_arg",
     "format_runs",
     "main",
@@ -243,52 +243,35 @@ def _dumps(obj: dict) -> str:
 SWEEP_FIELDS = ("a", "b", "c", "d", "m", "n", "S", "nonempty", "r", "s", "p", "q", "lhs", "rhs", "verdict")
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One S value of a sweep.  Vacuous rows carry no decomposition or
-    inequality fields; ``oracle_agrees`` exists only under --verify."""
+def _decomposition_fields(dec: CanonicalDecomposition | None) -> dict:
+    return dict(r=dec.r, s=dec.s, p=dec.p, q=dec.q) if dec is not None else dict.fromkeys("rspq")
 
-    a: int
-    b: int
-    c: int
-    d: int
-    m: int
-    n: int
-    S: int
-    nonempty: bool
-    r: int | None
-    s: int | None
-    p: int | None
-    q: int | None
-    lhs: int | None
-    rhs: int | None
-    verdict: str
-    oracle_agrees: bool | None = None
 
-    def to_csv(self) -> str:
-        names = _row_fields(self.oracle_agrees is not None)
-        return ",".join(_csv_cell(getattr(self, name)) for name in names)
+def _decomposition_line(fields: dict) -> str:
+    return "decomposition: " + " ".join(f"{name}={fields[name]}" for name in "rspq")
 
-    @classmethod
-    def from_csv(cls, line: str, verify: bool = False) -> "SweepRow":
-        cells = line.rstrip("\n").split(",")
-        names = _row_fields(verify)
-        if len(cells) != len(names):
-            raise ValueError(f"expected {len(names)} cells, got {len(cells)}")
-        return cls(**{name: _cell_value(cell) for name, cell in zip(names, cells)})
 
-    def to_json(self) -> str:
-        obj = {}
-        for name in _row_fields(True):
-            value = getattr(self, name)
-            if value is not None:
-                obj[name] = value
-        return _dumps(obj)
-
-    @classmethod
-    def from_json(cls, line: str) -> "SweepRow":
-        obj = json.loads(line)
-        return cls(**{name: obj.get(name) for name in _row_fields(True)})
+def _class_fields(params: ClassParams, report: CriterionReport) -> dict:
+    """Every field of a class answer, in ``check-class --json`` key order;
+    a field the answer does not carry (the branch of a vacuous class, the
+    decomposition and inequality off the general branch) is None."""
+    return {
+        "a": params.a,
+        "b": params.b,
+        "c": params.c,
+        "d": params.d,
+        "m": params.m,
+        "n": params.n,
+        "S": params.S,
+        "nonempty": report.verdict is not Verdict.VACUOUS,
+        "verdict": report.verdict.value,
+        "branch": report.branch.value if report.branch is not None else None,
+        **_decomposition_fields(report.decomposition),
+        "lhs": report.lhs,
+        "rhs": report.rhs,
+        "min_term": report.min_term,
+        "min_term_argument": report.min_term_argument,
+    }
 
 
 def _csv_cell(value) -> str:
@@ -297,49 +280,6 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
-
-
-def _cell_value(cell: str):
-    # Inverse of _csv_cell: an empty cell is an absent field; the verdict is
-    # the only text cell, so anything not boolean or integer is kept as text.
-    if cell == "":
-        return None
-    if cell in ("true", "false"):
-        return cell == "true"
-    try:
-        return int(cell)
-    except ValueError:
-        return cell
-
-
-def _row_fields(verify: bool) -> tuple[str, ...]:
-    return SWEEP_FIELDS + (("oracle_agrees",) if verify else ())
-
-
-def sweep_header(verify: bool) -> str:
-    return ",".join(_row_fields(verify))
-
-
-def build_sweep_row(params: ClassParams, report, oracle_agrees: bool | None = None) -> SweepRow:
-    dec = report.decomposition
-    return SweepRow(
-        a=params.a,
-        b=params.b,
-        c=params.c,
-        d=params.d,
-        m=params.m,
-        n=params.n,
-        S=params.S,
-        nonempty=report.verdict is not Verdict.VACUOUS,
-        r=dec.r if dec else None,
-        s=dec.s if dec else None,
-        p=dec.p if dec else None,
-        q=dec.q if dec else None,
-        lhs=report.lhs,
-        rhs=report.rhs,
-        verdict=report.verdict.value,
-        oracle_agrees=oracle_agrees,
-    )
 
 
 def _load_sequence(text: str, side: str, strict: bool) -> DegreeSequence:
@@ -449,51 +389,29 @@ def cmd_check_class(args) -> int:
         witness, agrees = _run_oracle(params, report, args.budget)
     # Only the general branch prints the canonical pair, and only it builds one.
     pair = criterion.canonical_pair(params) if report.decomposition is not None else None
+    fields = _class_fields(params, report)
 
     if args.json:
-        obj = {
-            "a": params.a,
-            "b": params.b,
-            "c": params.c,
-            "d": params.d,
-            "m": params.m,
-            "n": params.n,
-            "S": params.S,
-            "nonempty": report.verdict is not Verdict.VACUOUS,
-            "verdict": report.verdict.value,
-        }
-        if report.branch is not None:
-            obj["branch"] = report.branch.value
-        if report.decomposition is not None:
-            dec = report.decomposition
-            obj.update(r=dec.r, s=dec.s, p=dec.p, q=dec.q)
-            obj.update(
-                lhs=report.lhs,
-                rhs=report.rhs,
-                min_term=report.min_term,
-                min_term_argument=report.min_term_argument,
-            )
-            obj["E"] = _json_runs(pair.E_blocks)
-            obj["F"] = _json_runs(pair.F_blocks)
+        if pair is not None:
+            fields.update(E=_json_runs(pair.E_blocks), F=_json_runs(pair.F_blocks))
         if witness is not None:
-            obj["oracle_verdict"] = witness.verdict.value
-            obj["oracle_agrees"] = agrees
-            if witness.witness is not None:
-                obj["witness"] = {
-                    "left": list(witness.witness.left),
-                    "right": list(witness.witness.right),
-                    "failing_k": witness.witness.failing_k,
-                }
-        print(_dumps(obj))
+            w = witness.witness
+            fields.update(
+                oracle_verdict=witness.verdict.value,
+                oracle_agrees=agrees,
+                witness=None if w is None else {
+                    "left": list(w.left), "right": list(w.right), "failing_k": w.failing_k,
+                },
+            )
+        print(_dumps({name: value for name, value in fields.items() if value is not None}))
     else:
         print(f"class P(a={params.a}, b={params.b}, c={params.c}, d={params.d}, "
               f"m={params.m}, n={params.n}, S={params.S})")
         print(f"verdict: {report.verdict.value}")
         if report.branch is not None:
             print(f"branch: {report.branch.value}")
-        if report.decomposition is not None:
-            dec = report.decomposition
-            print(f"decomposition: r={dec.r} s={dec.s} p={dec.p} q={dec.q}")
+        if pair is not None:
+            print(_decomposition_line(fields))
             print(
                 f"inequality: lhs = a*r + c*s = {report.lhs}; "
                 f"rhs = S + r*s + min_term = {report.rhs}; "
@@ -519,13 +437,16 @@ def cmd_check_class(args) -> int:
     return VERDICT_EXIT[report.verdict]
 
 
-def _sweep_row(params: ClassParams, verify: bool, budget: int | None) -> SweepRow:
+def _sweep_row(params: ClassParams, verify: bool, budget: int | None) -> dict:
     report = theorem_main(params)
-    agrees = _run_oracle(params, report, budget)[1] if verify else None
-    return build_sweep_row(params, report, agrees)
+    row = _class_fields(params, report)
+    if verify:
+        row["oracle_agrees"] = _run_oracle(params, report, budget)[1]
+    return row
 
 
 def cmd_sweep(args) -> int:
+    names = SWEEP_FIELDS + (("oracle_agrees",) if args.verify else ())
     span = s_range(args.a, args.b, args.c, args.d, args.m, args.n)
     rows = (_sweep_row(ClassParams(args.a, args.b, args.c, args.d, args.m, args.n, S),
                        args.verify, args.budget) for S in span)
@@ -533,30 +454,24 @@ def cmd_sweep(args) -> int:
         # Every oracle run must succeed before the first line is printed, so
         # a class above the budget leaves stdout empty rather than truncated.
         rows = list(rows)
-    as_json = args.format == "json"
-    if not as_json:
-        print(sweep_header(args.verify))
-    for row in rows:
-        print(row.to_json() if as_json else row.to_csv())
+    if args.format == "json":
+        for row in rows:
+            print(_dumps({name: row[name] for name in names if row[name] is not None}))
+    else:
+        print(",".join(names))
+        for row in rows:
+            print(",".join(_csv_cell(row[name]) for name in names))
     return EXIT_OK
 
 
 def cmd_canonical(args) -> int:
     params = _params_from_args(args)
-    dec = decompose(params)
+    fields = _decomposition_fields(decompose(params))
     pair = criterion.canonical_pair(params)
     if args.json:
-        obj = {
-            "r": dec.r,
-            "s": dec.s,
-            "p": dec.p,
-            "q": dec.q,
-            "E": _json_runs(pair.E_blocks),
-            "F": _json_runs(pair.F_blocks),
-        }
-        print(_dumps(obj))
+        print(_dumps({**fields, "E": _json_runs(pair.E_blocks), "F": _json_runs(pair.F_blocks)}))
     else:
-        print(f"decomposition: r={dec.r} s={dec.s} p={dec.p} q={dec.q}")
+        print(_decomposition_line(fields))
         print(f"E = {format_runs(pair.E_blocks)}")
         print(f"F = {format_runs(pair.F_blocks)}")
     return EXIT_OK

@@ -162,19 +162,12 @@ def decompose(params: ClassParams) -> CanonicalDecomposition:
     return CanonicalDecomposition(r, s, p, q)
 
 
-def _canonical_blocks(high: int, low: int, length: int, total: int) -> BlockForm:
-    """Runs of the extremal decreasing sequence with the given max, min,
-    length and sum: maximal head of `high` entries, one leftover entry, `low`
-    after.  O(1): at most three blocks.  The leftover is below high - low,
-    so a positive one is its own block and a zero one joins the low tail."""
-    if high <= low:
-        raise DegenerateClass("requires max > min")
-    if not _side_nonempty(length, high, low, total):
-        raise EmptyClass(
-            f"no decreasing length-{length} sequence with max {high}, "
-            f"min {low}, sum {total}"
-        )
-    head, leftover = _split(high, low, length, total)
+def _canonical_blocks(high: int, low: int, length: int, head: int, leftover: int) -> BlockForm:
+    """Runs of the extremal decreasing sequence with the given max, min and
+    length, and the head count and leftover ``_split`` gives for its sum:
+    `head` entries `high`, one leftover entry, `low` after.  O(1): at most
+    three blocks.  The leftover is below high - low, so a positive one is its
+    own block and a zero one joins the low tail."""
     blocks = [(high, head)]
     if leftover:
         blocks.append((low + leftover, 1))
@@ -182,23 +175,30 @@ def _canonical_blocks(high: int, low: int, length: int, total: int) -> BlockForm
     if rest:
         blocks.append((low, rest))
     assert head >= 1 and blocks[-1][0] == low
-    assert sum(c for _, c in blocks) == length and sum(v * c for v, c in blocks) == total
+    assert sum(c for _, c in blocks) == length
     return BlockForm(tuple(blocks))
 
 
 def canonical_sequence(high: int, low: int, length: int, total: int) -> DegreeSequence:
     """The extremal decreasing sequence with the given max, min, length and
     sum: maximal head of `high` entries, one leftover entry, `low` after."""
-    return _canonical_blocks(high, low, length, total).expand()
+    if high <= low:
+        raise DegenerateClass("requires max > min")
+    if not _side_nonempty(length, high, low, total):
+        raise EmptyClass(
+            f"no decreasing length-{length} sequence with max {high}, "
+            f"min {low}, sum {total}"
+        )
+    return _canonical_blocks(high, low, length, *_split(high, low, length, total)).expand()
 
 
 def canonical_pair(params: ClassParams) -> CanonicalPair:
     """The extremal pair (E, F) of a nonempty class with a > b, c > d, as
-    blocks; O(1) until ``E`` or ``F`` is read."""
-    decompose(params)  # validates hypotheses and the (r, s, p, q) ranges
+    blocks built from its decomposition; O(1) until ``E`` or ``F`` is read."""
+    dec = decompose(params)
     return CanonicalPair(
-        _canonical_blocks(params.a, params.b, params.m, params.S),
-        _canonical_blocks(params.c, params.d, params.n, params.S),
+        _canonical_blocks(params.a, params.b, params.m, dec.r, dec.q),
+        _canonical_blocks(params.c, params.d, params.n, dec.s, dec.p),
     )
 
 

@@ -61,7 +61,7 @@ def _first_violation(x: DegreeSequence, y: DegreeSequence, strong: bool) -> Pair
     caps = kernels.cap_sum_rows(y.values.reshape(1, -1), len(x))[0]
     viol = np.cumsum(x.values) > caps
     if strong:
-        viol &= kernels.boundary_mask_rows(x.values.reshape(1, -1))[0].astype(bool)
+        viol &= kernels.boundary_mask_rows(x.values.reshape(1, -1))[0]
     if viol.any():
         return PairVerdict(False, int(np.argmax(viol)) + 1, True)
     return PairVerdict(True, None, True)

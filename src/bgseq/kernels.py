@@ -47,19 +47,20 @@ def cap_sum_rows(seqs: np.ndarray, kmax: int) -> np.ndarray:
 
 
 def boundary_mask_rows(seqs: np.ndarray) -> np.ndarray:
-    """Strong-index mask per row: position k (1-based) is set when a run of
-    equal positive values ends there.  Trailing zero entries carry no
-    indices; an all-zero row has an empty mask."""
+    """Strong-index mask per row, as bool: position k (1-based) is set when
+    a run of equal positive values ends there.  Trailing zero entries carry
+    no indices; an all-zero row has an empty mask."""
     # With a zero appended to each row, a run of positive values ends exactly
     # where an entry exceeds its successor; zero entries never do.
     nxt = np.zeros_like(seqs)
     nxt[:, :-1] = seqs[:, 1:]
-    return (seqs > nxt).astype(np.uint8)
+    return seqs > nxt
 
 
 def scan_pairs(prefix_l: np.ndarray, mask_l: np.ndarray, caps_r: np.ndarray,
                spot_stride: int) -> tuple[int, int, int, int]:
-    """Scan all pairs in row-major order using the strong-index test.
+    """Scan all pairs in row-major order using the strong-index test, with
+    ``mask_l`` the left rows' ``boundary_mask_rows``.
 
     Returns (i, j, k, disagreements) for the first failing pair, with k the
     smallest violated strong index of left row i against right row j, or
@@ -70,12 +71,11 @@ def scan_pairs(prefix_l: np.ndarray, mask_l: np.ndarray, caps_r: np.ndarray,
     """
     nl, width = prefix_l.shape
     nr = caps_r.shape[0]
-    masks = mask_l.astype(bool)
     block = max(1, SCAN_BLOCK_CELLS // max(1, nr * width))
     disagreements = 0
     for lo in range(0, nl, block):
         fail = caps_r[None, :, :] < prefix_l[lo : lo + block, None, :]
-        fail &= masks[lo : lo + block, None, :]
+        fail &= mask_l[lo : lo + block, None, :]
         has = fail.any(axis=2).ravel()
         hit = int(np.argmax(has)) if has.any() else -1
         if spot_stride > 0:

@@ -1,5 +1,6 @@
 """Shared corpora and grid iterators for the test suite."""
 
+import json
 from itertools import combinations_with_replacement
 from typing import Iterator
 
@@ -28,6 +29,13 @@ def grid_params(limit: int = 6, min_floor: int = 1) -> Iterator[ClassParams]:
                         for m in range(c, limit + 1):
                             for S in s_range(a, b, c, d, m, n):
                                 yield ClassParams(a, b, c, d, m, n, S)
+
+
+def decode_sweep_csv(header: str, line: str) -> dict:
+    """One sweep CSV row as the object its JSON line carries: an empty cell
+    is an omitted key, the verdict is text and every other cell is JSON."""
+    cells = zip(header.split(","), line.split(","), strict=True)
+    return {name: cell if name == "verdict" else json.loads(cell) for name, cell in cells if cell}
 
 
 def all_decreasing(max_len: int, max_val: int, min_val: int = 1) -> Iterator[tuple[int, ...]]:

@@ -1,5 +1,6 @@
-"""The benchmark's tracer wraps entry points by name; a refactor that renames
-or drops one would leave its per-layer metric silently empty."""
+"""The benchmark's tracer wraps entry points by name, and its worker reads
+module attributes by name; a refactor that renames or drops one would leave
+a per-layer metric silently empty or stop the benchmark."""
 
 import importlib
 import importlib.util
@@ -25,6 +26,18 @@ def test_every_target_resolves():
         assert layer in tracing.LAYERS
         assert counter is None or callable(counter)
     assert callable(importlib.import_module("bgseq.cli").build_parser)
+
+
+def test_worker_reads_resolve():
+    # The names bench/worker.py reads after a pass: the backend flag and the
+    # hit counts of the oracle's caches.
+    kernels = importlib.import_module("bgseq.kernels")
+    enumeration = importlib.import_module("bgseq.enumeration")
+    assert isinstance(kernels.USING_NUMBA, bool)
+    for name in ("_side_matrix", "_left_tables", "_right_caps"):
+        info = getattr(enumeration, name).cache_info()
+        assert isinstance(info.hits, int) and isinstance(info.misses, int), name
+    assert callable(importlib.import_module("bgseq.cli").main)
 
 
 def test_realize_count_is_the_edge_count():

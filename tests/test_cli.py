@@ -1,4 +1,4 @@
-"""CLI contract: exit codes, output formats, round-trips."""
+"""CLI contract: exit codes, output formats, CSV and JSON agreement."""
 
 import argparse
 import contextlib
@@ -17,13 +17,12 @@ from bgseq.cli import (
     EXIT_VACUOUS,
     SWEEP_FIELDS,
     VERDICT_EXIT,
-    SweepRow,
     format_runs,
     main,
     parse_sequence_arg,
-    sweep_header,
 )
 from bgseq import DegreeSequence, Verdict
+from helpers import decode_sweep_csv
 
 
 def run(capsys, *argv):
@@ -210,40 +209,43 @@ class TestCheckClass:
         assert VERDICT_EXIT[Verdict.VACUOUS] == EXIT_VACUOUS
 
 
+HEADER = "a,b,c,d,m,n,S,nonempty,r,s,p,q,lhs,rhs,verdict"
+
+
+def sweep_rows(out: str) -> list[dict]:
+    header, *lines = out.strip().splitlines()
+    return [decode_sweep_csv(header, line) for line in lines]
+
+
 class TestSweep:
     def test_rows_and_vacuity(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "-a", "2", "-b", "1", "-c", "2", "-d", "1", "-m", "3", "-n", "3"
         )
         assert code == EXIT_OK
-        lines = out.strip().splitlines()
-        assert lines[0] == sweep_header(False) == ",".join(SWEEP_FIELDS)
-        rows = [SweepRow.from_csv(line) for line in lines[1:]]
-        assert [row.S for row in rows] == [3, 4, 5, 6]
-        assert [row.verdict for row in rows] == ["vacuous", "all-graphic", "all-graphic", "vacuous"]
+        assert out.splitlines()[0] == HEADER == ",".join(SWEEP_FIELDS)
+        rows = sweep_rows(out)
+        assert [row["S"] for row in rows] == [3, 4, 5, 6]
+        assert [row["verdict"] for row in rows] == ["vacuous", "all-graphic", "all-graphic", "vacuous"]
         for row in rows:
-            if not row.nonempty:
-                assert row.verdict == "vacuous"
-                assert row.r is None and row.lhs is None
+            if not row["nonempty"]:
+                assert row["verdict"] == "vacuous"
+                assert "r" not in row and "lhs" not in row
 
     def test_single_point_degenerate(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "-a", "3", "-b", "3", "-c", "2", "-d", "1", "-m", "4", "-n", "7"
         )
-        lines = out.strip().splitlines()
+        (row,) = sweep_rows(out)
         assert code == EXIT_OK
-        assert len(lines) == 2
-        row = SweepRow.from_csv(lines[1])
-        assert row.S == 12 and row.verdict == "all-graphic"
+        assert row["S"] == 12 and row["verdict"] == "all-graphic"
 
     def test_perfect_matching_class(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "-a", "1", "-b", "1", "-c", "1", "-d", "1", "-m", "2", "-n", "2"
         )
-        lines = out.strip().splitlines()
-        assert len(lines) == 2
-        row = SweepRow.from_csv(lines[1])
-        assert row.S == 2 and row.verdict == "all-graphic"
+        (row,) = sweep_rows(out)
+        assert row["S"] == 2 and row["verdict"] == "all-graphic"
 
     def test_invalid_params(self, capsys):
         code, _, err = run(
@@ -266,30 +268,38 @@ class TestSweep:
             capsys, "sweep", "-a", "4", "-b", "1", "-c", "4", "-d", "1",
             "-m", "4", "-n", "4", "--verify",
         )
-        lines = out.strip().splitlines()
-        assert lines[0] == sweep_header(True)
-        assert lines[0].endswith(",oracle_agrees")
-        rows = [SweepRow.from_csv(line, verify=True) for line in lines[1:]]
-        assert all(row.oracle_agrees for row in rows)
-        assert any(row.verdict == "not-all-graphic" for row in rows)
+        assert out.splitlines()[0] == HEADER + ",oracle_agrees"
+        rows = sweep_rows(out)
+        assert all(row["oracle_agrees"] is True for row in rows)
+        assert any(row["verdict"] == "not-all-graphic" for row in rows)
 
-    def test_csv_round_trip(self, capsys):
+    def test_fields_by_branch(self, capsys):
+        # A vacuous row carries the parameters, nonempty and the verdict, a
+        # degenerate one nothing more, a general one every field.
         _, out, _ = run(
             capsys, "sweep", "-a", "4", "-b", "1", "-c", "4", "-d", "1",
             "-m", "4", "-n", "4", "--verify",
         )
-        for line in out.strip().splitlines()[1:]:
-            assert SweepRow.from_csv(line, verify=True).to_csv() == line
+        _, degenerate, _ = run(
+            capsys, "sweep", "-a", "3", "-b", "3", "-c", "2", "-d", "1", "-m", "4", "-n", "7"
+        )
+        short = ("a", "b", "c", "d", "m", "n", "S", "nonempty", "verdict")
+        rows = sweep_rows(out) + sweep_rows(degenerate)
+        for row in rows:
+            names = tuple(name for name in SWEEP_FIELDS if name in row)
+            assert names == (SWEEP_FIELDS if "r" in row else short)
+            assert all(type(row[name]) is int for name in names if name not in ("nonempty", "verdict"))
+            assert type(row["nonempty"]) is bool
+        assert {row["nonempty"] for row in rows if "r" not in row} == {False, True}
 
-    def test_json_round_trip_matches_csv(self, capsys):
-        args = ["sweep", "-a", "4", "-b", "1", "-c", "4", "-d", "1", "-m", "4", "-n", "4"]
+    @pytest.mark.parametrize("verify", [(), ("--verify",)])
+    def test_json_matches_csv(self, capsys, verify):
+        args = ["sweep", "-a", "4", "-b", "1", "-c", "4", "-d", "1", "-m", "4", "-n", "4", *verify]
         _, csv_out, _ = run(capsys, *args)
         _, json_out, _ = run(capsys, *args, "--format", "json")
-        csv_rows = [SweepRow.from_csv(line) for line in csv_out.strip().splitlines()[1:]]
-        json_rows = [SweepRow.from_json(line) for line in json_out.strip().splitlines()]
+        csv_rows = [list(row.items()) for row in sweep_rows(csv_out)]
+        json_rows = [list(json.loads(line).items()) for line in json_out.strip().splitlines()]
         assert csv_rows == json_rows
-        for line, row in zip(json_out.strip().splitlines(), json_rows):
-            assert row.to_json() == line
 
     def test_json_omits_absent_fields(self, capsys):
         _, out, _ = run(
@@ -300,6 +310,70 @@ class TestSweep:
         assert first["S"] == 3 and first["verdict"] == "vacuous"
         assert "r" not in first and "lhs" not in first
         assert first["nonempty"] is False
+
+
+_P = ("-a", "3", "-b", "1", "-c", "3", "-d", "1", "-m", "3", "-n", "3")
+_DEGENERATE = ("-a", "2", "-b", "2", "-c", "2", "-d", "1", "-m", "2", "-n", "3")
+_SMALL = ("-a", "2", "-b", "1", "-c", "2", "-d", "1", "-m", "2", "-n", "2")
+# Class answers to the byte: key order, separators, empty cells, omitted keys.
+EXACT_OUTPUT = [
+    (("check-class", *_P, "-S", "4", "--json"), EXIT_VACUOUS, [
+        '{"a":3,"b":1,"c":3,"d":1,"m":3,"n":3,"S":4,"nonempty":false,"verdict":"vacuous"}',
+    ]),
+    (("check-class", "-a", "3", "-b", "3", "-c", "2", "-d", "1", "-m", "4", "-n", "7", "-S", "12",
+      "--json"), EXIT_OK, [
+        '{"a":3,"b":3,"c":2,"d":1,"m":4,"n":7,"S":12,"nonempty":true,"verdict":"all-graphic",'
+        '"branch":"degenerate-equal-extremes"}',
+    ]),
+    (("check-class", *_P, "-S", "7", "--verify", "--json"), EXIT_NEGATIVE, [
+        '{"a":3,"b":1,"c":3,"d":1,"m":3,"n":3,"S":7,"nonempty":true,"verdict":"not-all-graphic",'
+        '"branch":"general-inequality","r":2,"s":2,"p":0,"q":0,"lhs":12,"rhs":11,"min_term":0,'
+        '"min_term_argument":"zero","E":[3,3,1],"F":[3,3,1],"oracle_verdict":"found-non-graphic",'
+        '"oracle_agrees":true,"witness":{"left":[3,3,1],"right":[3,3,1],"failing_k":2}}',
+    ]),
+    (("check-class", *_P, "-S", "7", "--verify"), EXIT_NEGATIVE, [
+        "class P(a=3, b=1, c=3, d=1, m=3, n=3, S=7)",
+        "verdict: not-all-graphic",
+        "branch: general-inequality",
+        "decomposition: r=2 s=2 p=0 q=0",
+        "inequality: lhs = a*r + c*s = 12; rhs = S + r*s + min_term = 11; min term 'zero' = 0",
+        "canonical pair: E = 3^2,1  F = 3^2,1",
+        "oracle: found-non-graphic (agrees: yes); witness left=3^2,1 right=3^2,1 failing k=2",
+    ]),
+    (("sweep", *_SMALL), EXIT_OK, [
+        HEADER,
+        "2,1,2,1,2,2,2,false,,,,,,,vacuous",
+        "2,1,2,1,2,2,3,true,1,1,0,0,4,4,all-graphic",
+        "2,1,2,1,2,2,4,false,,,,,,,vacuous",
+    ]),
+    (("sweep", *_DEGENERATE, "--verify"), EXIT_OK, [
+        HEADER + ",oracle_agrees",
+        "2,2,2,1,2,3,4,true,,,,,,,all-graphic,true",
+    ]),
+    (("sweep", *_SMALL, "--format", "json"), EXIT_OK, [
+        '{"a":2,"b":1,"c":2,"d":1,"m":2,"n":2,"S":2,"nonempty":false,"verdict":"vacuous"}',
+        '{"a":2,"b":1,"c":2,"d":1,"m":2,"n":2,"S":3,"nonempty":true,"r":1,"s":1,"p":0,"q":0,'
+        '"lhs":4,"rhs":4,"verdict":"all-graphic"}',
+        '{"a":2,"b":1,"c":2,"d":1,"m":2,"n":2,"S":4,"nonempty":false,"verdict":"vacuous"}',
+    ]),
+    (("sweep", *_DEGENERATE, "--format", "json", "--verify"), EXIT_OK, [
+        '{"a":2,"b":2,"c":2,"d":1,"m":2,"n":3,"S":4,"nonempty":true,"verdict":"all-graphic",'
+        '"oracle_agrees":true}',
+    ]),
+    (("canonical", *_P, "-S", "6", "--json"), EXIT_OK, [
+        '{"r":1,"s":1,"p":1,"q":1,"E":[3,2,1],"F":[3,2,1]}',
+    ]),
+    (("canonical", *_P, "-S", "6"), EXIT_OK, [
+        "decomposition: r=1 s=1 p=1 q=1",
+        "E = 3,2,1",
+        "F = 3,2,1",
+    ]),
+]
+
+
+@pytest.mark.parametrize("argv,code,lines", EXACT_OUTPUT, ids=[" ".join(case[0]) for case in EXACT_OUTPUT])
+def test_exact_output(capsys, argv, code, lines):
+    assert run(capsys, *argv) == (code, "".join(line + "\n" for line in lines), "")
 
 
 class TestCanonical:

@@ -42,7 +42,6 @@ from .galeryser import (
     NotGraphic,
     PairVerdict,
     gale_ryser,
-    last_index_shortcut,
     realize,
     zz_check,
 )
@@ -59,7 +58,6 @@ from .seqcore import (
     SequenceError,
     ValidatedSequence,
     class_nonempty,
-    min_cap_sum,
     s_range,
     to_blocks,
     validate_sequence,
@@ -76,7 +74,6 @@ __all__ = [
     "ClassParams",
     "ValidatedSequence",
     "validate_sequence",
-    "min_cap_sum",
     "to_blocks",
     "class_nonempty",
     "s_range",
@@ -92,7 +89,6 @@ __all__ = [
     "NotGraphic",
     "gale_ryser",
     "zz_check",
-    "last_index_shortcut",
     "realize",
     # criterion
     "Verdict",

@@ -145,10 +145,11 @@ def _parse_items(text: str) -> np.ndarray:
     # length above MAX_INPUT raises before it is expanded.  Items are kept
     # only while the length is within MAX_INPUT, so nothing sized beyond the
     # bound is built; later ones are still parsed, and an entry beyond int64
-    # among them is still refused as one.
-    values, counts, length, wide, done = [], [], 0, False, 0
+    # among them is still refused as one.  A piece's items go to int64 at its end.
+    runs, length, wide, done = [], 0, False, 0
     for start, stop in _pieces(text):
         items = text[start:stop].split(",")
+        values, counts = [], []
         for item in items:
             head, mark, tail = item.partition("^")
             try:
@@ -168,15 +169,15 @@ def _parse_items(text: str) -> np.ndarray:
             elif not -(1 << 63) <= value < 1 << 63:
                 wide = True
         done += len(items)
-    try:
-        values = np.array(values, dtype=np.int64)
-    except OverflowError:
-        wide = True
+        try:
+            runs.append(np.repeat(np.array(values, dtype=np.int64), counts))
+        except OverflowError:
+            wide = True
     if wide:
         raise LimitExceeded(f"entries must not exceed the supported bound {MAX_INPUT}")
     if length > MAX_INPUT:
         raise LimitExceeded(f"sequence length {length} exceeds {MAX_INPUT}")
-    return np.repeat(values, counts)
+    return np.concatenate(runs)
 
 
 def format_runs(seq: DegreeSequence | BlockForm) -> str:

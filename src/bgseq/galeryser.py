@@ -8,10 +8,7 @@ constructs an explicit bipartite graph for a graphic pair as a sorted edge
 array.  It keeps the right side as levels of equal residual demand, each a
 list of index intervals, so a left vertex costs O(log D + k) for the largest
 right degree D and the k intervals it merges, not a pass over the right
-side: O(len(e) + len(f) + |E|) plus that per-row term in all.  On a 2-vCPU
-Xeon VM (Python 3.11, numpy 2.4) that is 5 ms for n = 2,000 (2 * 10^5
-edges), 0.11 s for n = 10^4 (5 * 10^6 edges) and 0.21 s for n = 10^5
-(10^6 edges).
+side: O(len(e) + len(f) + |E|) plus that per-row term in all.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ __all__ = [
     "BipartiteRealization",
     "gale_ryser",
     "zz_check",
-    "last_index_shortcut",
     "realize",
 ]
 
@@ -84,18 +80,6 @@ def zz_check(x: DegreeSequence, y: DegreeSequence) -> PairVerdict:
     ``gale_ryser`` on every pair.  O(len(x) + len(y)) time and memory.
     """
     return _first_violation(x, y, strong=True)
-
-
-def last_index_shortcut(y: DegreeSequence, m: int) -> bool:
-    """Whether y_1 <= m.
-
-    When sum(x) = sum(y) and len(x) = m, this equals the k = m instance of
-    the dominance inequality, so the final strong index never needs the full
-    cap sum.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    return y.largest <= m
 
 
 @dataclass(frozen=True, eq=False)

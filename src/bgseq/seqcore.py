@@ -2,7 +2,7 @@
 
 Validated decreasing integer sequences, their run-length block form, the
 seven-parameter class description P(a, b, c, d, m, n, S), and the small
-arithmetic primitives (min-cap sums, sum ranges, nonemptiness) that every
+arithmetic primitives (sum ranges, nonemptiness) that every
 graphicality test builds on.
 """
 
@@ -28,7 +28,6 @@ __all__ = [
     "ClassParams",
     "ValidatedSequence",
     "validate_sequence",
-    "min_cap_sum",
     "to_blocks",
     "class_nonempty",
     "s_range",
@@ -149,24 +148,15 @@ def validate_sequence(raw: Iterable[int], strict: bool = True) -> ValidatedSeque
     if arr.min() < 0:
         raise NegativeEntry(f"negative entry {arr[np.argmax(arr < 0)]} not allowed")
     rises = arr[1:] > arr[:-1]
-    if strict and rises.any():
+    was_sorted = bool(rises.any())
+    if strict and was_sorted:
         i = int(rises.argmax()) + 1
         raise NotDecreasing(f"entries are not in decreasing order: entry {i + 1} is {arr[i]}, "
                             f"after {arr[i - 1]}")
     if arr.max() > MAX_INPUT:
         raise LimitExceeded(f"entry {arr.max()} exceeds {MAX_INPUT}")
-    was_sorted = bool(rises.any())
     arr = -np.sort(-arr) if was_sorted else arr.copy()
     return ValidatedSequence(DegreeSequence._from_trusted(arr), was_sorted)
-
-
-def min_cap_sum(f: DegreeSequence, k: int) -> int:
-    """Sum of min(k, f_i) over all entries, i.e. the k-th partial sum of the
-    conjugate partition of f."""
-    k = operator.index(k)
-    if k < 0:
-        raise ValueError("cap must be nonnegative")
-    return int(np.minimum(f.values, k).sum())
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,12 @@ def decode_sweep_csv(header: str, line: str) -> dict:
     return {name: cell if name == "verdict" else json.loads(cell) for name, cell in cells if cell}
 
 
+def min_cap_sum(f: DegreeSequence, k: int) -> int:
+    """Sum of min(k, f_i) over all entries, i.e. the k-th partial sum of the
+    conjugate partition of f: the scalar reference for the cap tables."""
+    return int(np.minimum(f.values, k).sum())
+
+
 def all_decreasing(max_len: int, max_val: int, min_val: int = 1) -> Iterator[tuple[int, ...]]:
     """Every non-increasing tuple with entries in [min_val, max_val] and
     length 1..max_len."""
@@ -161,26 +167,6 @@ def reference_realize_edges(e: DegreeSequence, f: DegreeSequence) -> list[list[i
         residual[chosen] -= 1
         edges.update((i + 1, j + 1) for j in chosen.tolist())
     return [list(edge) for edge in sorted(edges)]
-
-
-def reference_format_runs(seq: DegreeSequence) -> str:
-    """Run syntax as first written: one Python step per entry."""
-    parts = []
-    values = list(seq)
-    i = 0
-    while i < len(values):
-        j = i
-        while j < len(values) and values[j] == values[i]:
-            j += 1
-        parts.append(str(values[i]) if j - i == 1 else f"{values[i]}^{j - i}")
-        i = j
-    return ",".join(parts)
-
-
-def reference_blocks(seq: DegreeSequence) -> tuple[tuple[int, int], ...]:
-    """Block form as first written: np.unique's sorted values, reversed."""
-    values, counts = np.unique(seq.values, return_counts=True)
-    return tuple(zip(values[::-1].tolist(), counts[::-1].tolist()))
 
 
 def random_decreasing(count: int, seed: int, max_len: int = 40, max_val: int = 6):

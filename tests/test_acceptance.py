@@ -23,9 +23,7 @@ from bgseq import (
     brute_force_all_graphic,
     canonical_pair,
     canonical_sequence,
-    class_nonempty,
     gale_ryser,
-    min_cap_sum,
     realize,
     s_range,
     smooth_step,
@@ -39,6 +37,7 @@ from helpers import (
     all_decreasing,
     decode_sweep_csv,
     grid_params,
+    min_cap_sum,
     random_graphic_pairs,
     random_pair_corpus,
 )

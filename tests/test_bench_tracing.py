@@ -30,7 +30,8 @@ def test_every_target_resolves():
 
 def test_worker_reads_resolve():
     # The names bench/worker.py reads after a pass: the backend flag and the
-    # hit counts of the oracle's caches.
+    # hit counts of the oracle's caches; and the package names bench/run.py
+    # imports to count the pairs a run decided.
     kernels = importlib.import_module("bgseq.kernels")
     enumeration = importlib.import_module("bgseq.enumeration")
     assert isinstance(kernels.USING_NUMBA, bool)
@@ -38,6 +39,8 @@ def test_worker_reads_resolve():
         info = getattr(enumeration, name).cache_info()
         assert isinstance(info.hits, int) and isinstance(info.misses, int), name
     assert callable(importlib.import_module("bgseq.cli").main)
+    bgseq = importlib.import_module("bgseq")
+    assert callable(bgseq.ClassParams) and callable(bgseq.count_class)
 
 
 def test_realize_count_is_the_edge_count():

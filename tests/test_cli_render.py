@@ -7,6 +7,7 @@ import json
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +21,8 @@ from bgseq import (
     theorem_main,
     to_blocks,
 )
-from bgseq.cli import _json_ints, format_runs, main
-from helpers import random_decreasing, reference_format_runs
+from bgseq.cli import _json_ints, format_runs, main, parse_sequence_arg
+from helpers import random_decreasing
 
 
 def call(argv):
@@ -106,11 +107,21 @@ class TestJsonInts:
 
 
 class TestFormatRuns:
-    def test_matches_entrywise_definition(self):
-        sequences = [DegreeSequence(v) for v in ([7], [0], [0, 0, 0], [5, 5, 5], [3, 0])]
-        sequences += list(random_decreasing(3_000, seed=4))
-        for seq in sequences:
-            assert format_runs(seq) == reference_format_runs(seq), seq
+    @pytest.mark.parametrize(
+        "entries,text",
+        [([7], "7"), ([0], "0"), ([0, 0, 0], "0^3"), ([5, 5, 5], "5^3"), ([3, 0], "3,0")],
+    )
+    def test_examples(self, entries, text):
+        assert format_runs(DegreeSequence(entries)) == text
+
+    def test_runs_read_back_as_the_sequence(self):
+        # Adjacent runs differ in value, and a run of one entry has no count.
+        for seq in random_decreasing(3_000, seed=4):
+            text = format_runs(seq)
+            assert np.array_equal(parse_sequence_arg(text), seq.values), seq
+            runs = [item.partition("^") for item in text.split(",")]
+            assert all(run[0] != after[0] for run, after in zip(runs, runs[1:])), text
+            assert all(not mark or int(count) > 1 for _, mark, count in runs), text
 
     def test_blocks_render_like_their_sequence(self):
         for seq in random_decreasing(500, seed=5):

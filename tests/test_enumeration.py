@@ -17,11 +17,10 @@ from bgseq import (
     count_class,
     enum_class,
     enum_sequences,
-    min_cap_sum,
 )
 import bgseq.enumeration as enumeration
 from bgseq.enumeration import _count_side
-from helpers import grid_params
+from helpers import grid_params, min_cap_sum
 
 
 def tuples(it):

@@ -12,14 +12,12 @@ from bgseq import (
     NotGraphic,
     PairVerdict,
     gale_ryser,
-    last_index_shortcut,
-    min_cap_sum,
     realize,
     zz_check,
 )
 from bgseq import galeryser
 from bgseq.seqcore import to_blocks
-from helpers import all_decreasing, random_pair_corpus
+from helpers import all_decreasing, min_cap_sum, random_pair_corpus
 
 
 def seq(*entries):
@@ -130,21 +128,6 @@ class TestLargePairs:
         e, f = DegreeSequence(left), DegreeSequence(right)
         assert gale_ryser(e, f) == PairVerdict(False, 1, True)
         assert zz_check(e, f) == PairVerdict(False, 2, True)
-
-
-class TestLastIndexShortcut:
-    def test_examples(self):
-        assert last_index_shortcut(seq(3, 3, 1, 1), 4)
-        assert not last_index_shortcut(seq(5, 1), 4)
-        # The k = m inequality can hold even when the pair fails earlier.
-        assert last_index_shortcut(seq(4, 4, 1, 1), 4)
-
-    def test_equals_last_dominance_instance(self):
-        for x, y in random_pair_corpus(500, seed=3, max_len=15, max_val=15):
-            if x.total != y.total:
-                continue
-            m = len(x)
-            assert last_index_shortcut(y, m) == (x.total <= min_cap_sum(y, m))
 
 
 class TestRealize:

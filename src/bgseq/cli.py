@@ -318,22 +318,25 @@ def _pair_object(e: DegreeSequence, f: DegreeSequence, verdict) -> dict:
     return obj
 
 
-def _edge_rows(real: BipartiteRealization) -> Iterator[tuple[int, list[str]]]:
-    # Each left vertex that has edges, with its right ends as text: realize
-    # returns the rows sorted, so one slice per left vertex, whose labels
-    # come from one index into a table of right labels.
-    labels = np.array(list(map(str, range(len(real.right_degrees) + 1))), dtype=object)
-    right = real.edges[:, 1]
-    start = 0
-    for u, deg in enumerate(real.left_degrees.values.tolist(), 1):
-        if deg:
-            yield u, labels[right[start:start + deg]].tolist()
-            start += deg
+def _edge_runs(real: BipartiteRealization) -> Iterator[tuple[int, list[str]]]:
+    # Each run of consecutive right ends of one left vertex, with those ends
+    # as text: realize returns the rows sorted, so one numpy pass finds where
+    # runs start (the first edge always does: right ends are 1-based), and a
+    # run's labels are one slice of a list of labels up to the largest right
+    # end, not of every right vertex.  The bounds are read through
+    # memoryviews, which make their ints one run at a time.
+    left, right = real.edges[:, 0], real.edges[:, 1]
+    breaks = (right[1:] - right[:-1] != 1) | (left[1:] != left[:-1])
+    starts = np.flatnonzero(np.concatenate((right[:1] > 0, breaks)))
+    ends = np.append(right[starts[1:] - 1], right[-1:]) + 1
+    labels = list(map(str, range(right.max(initial=0) + 1)))
+    for u, lo, hi in zip(memoryview(left[starts]), memoryview(right[starts]), memoryview(ends)):
+        yield u, labels[lo:hi]
 
 
 def _edges_json(real: BipartiteRealization) -> _Raw:
     parts = ["["]
-    for u, cols in _edge_rows(real):
+    for u, cols in _edge_runs(real):
         parts += (f"[{u},", f"],[{u},".join(cols), "],")
     parts[-1] = "]]" if len(parts) > 1 else "[]"
     return _Raw(parts)
@@ -341,7 +344,7 @@ def _edges_json(real: BipartiteRealization) -> _Raw:
 
 def _print_edges(real: BipartiteRealization) -> None:
     if real.edges.size:
-        print("\n".join(f"{u} " + f"\n{u} ".join(cols) for u, cols in _edge_rows(real)))
+        print("\n".join(f"{u} " + f"\n{u} ".join(cols) for u, cols in _edge_runs(real)))
 
 
 def _params_from_args(args) -> ClassParams:

@@ -6,9 +6,9 @@ reaches the same verdict testing only the strong indices of the left
 sequence; both take O(len(x) + len(y)) time and memory.  ``realize``
 constructs an explicit bipartite graph for a graphic pair as a sorted edge
 array.  It keeps the right side as levels of equal residual demand, each a
-list of index intervals, so a left vertex costs O(log D + k) for the largest
-right degree D and the k intervals it merges, not a pass over the right
-side: O(len(e) + len(f) + |E|) plus that per-row term in all.
+list of index intervals, and takes equal-degree left vertices in batches
+that each cost O(log L + j) for L levels and the j intervals merged or
+written: O(len(e) + len(f) + |E|) plus that per batch, not per row.
 """
 
 from __future__ import annotations
@@ -143,9 +143,12 @@ def realize(e: DegreeSequence, f: DegreeSequence) -> BipartiteRealization:
     most t, and a row that takes everything above residual t, plus the head
     of residual t, changes only the levels t + 1, t and t - 1 of the right
     side: the levels above move down one as a whole.  Each level is kept as
-    sorted index intervals.  O(n + m * (log D + k) + |E|) time for
-    D = f.largest and k intervals in the levels a row merges, plus one
-    pointer move over the list of nonempty levels per row.
+    sorted index intervals.  Rows of equal degree go in batches of k: while
+    no level sits at t + 1, k rows take the same prefix and the next k heads
+    of level t; while no level sits at t - 1, k rows that each take all of
+    level t take the same prefix, and those levels move down k.  A batch
+    costs O(log L + j) for L nonempty levels and the j intervals it merges
+    or writes: O(n + m + |E|) plus that per batch, not per left vertex.
     """
     verdict = gale_ryser(e, f)
     if not verdict.graphic:
@@ -169,54 +172,81 @@ def realize(e: DegreeSequence, f: DegreeSequence) -> BipartiteRealization:
             levels[0] = [end - count, end]
         end -= count
     bounds: list[int] = []  # the intervals each row takes, row after row
-    for deg in e.values.tolist():
-        if deg == 0:
-            continue
-        # Level i has residual t, the deg-th largest; the row takes every
-        # vertex above t and the first `need` vertices of level t.
-        i = bisect_right(negcum, -deg) - 1
-        if i < 1:
-            raise RuntimeError("greedy realization ran out of demand on a graphic pair")
-        above = i + 1 < len(levels)
-        need = deg + negcum[i + 1] if above else deg
-        level = levels[i]
-        upper = levels[i + 1] if above and gaps[i + 1] == 1 else []
-        lower = levels[i - 1] if gaps[i] == 1 else None
-        k, left = 0, need
-        while level[k + 1] - level[k] < left:
-            left -= level[k + 1] - level[k]
-            k += 2
-        cut = level[k] + left
-        head = level[:k + 1] + [cut]
-        rest = level[k + 2:] if cut == level[k + 1] else [cut] + level[k + 1:]
-        # Every vertex before p has residual above t, and past p only level
-        # t + 1 has any: the first vertex of residual t or t - 1 is p.
-        p = level[0] if not lower or lower[0] > level[0] else lower[0]
-        if p:
-            bounds += (0, p)
-        beyond = upper[bisect_right(upper, p):]
-        bounds += sorted(beyond + head) if beyond else head
-        # Level t + 1 and the rest of t form the new level t, the head joins
-        # level t - 1, and the levels above t + 1 move down one.
-        window, window_gaps, window_cum = [], [], []
-        if lower is None:
-            window.append(head)
-            window_gaps.append(gaps[i] - 1)
-            window_cum.append(negcum[i])
-        else:
-            levels[i - 1] = _union(lower, head)
-        merged = _union(rest, upper)
-        if merged:
-            window.append(merged)
-            window_gaps.append(1)
-            window_cum.append(negcum[i] + need)
+    copies: list[int] = []  # (span, count) pairs: that span is `count` equal rows
+    for deg, rows in to_blocks(e).blocks:
+        while deg and rows:
+            # Level i has residual t, the deg-th largest; a row takes every
+            # vertex above t and the next `need` vertices of level t.
+            i = bisect_right(negcum, -deg) - 1
+            if i < 1:
+                raise RuntimeError("greedy realization ran out of demand on a graphic pair")
+            if deg == -negcum[i] and gaps[i] > 1:
+                # Each row takes all of levels >= t, the prefix [0, deg), and
+                # they move down together until level t is one above the next.
+                k = min(rows, gaps[i] - 1)
+                copies += (len(bounds) // 2, k)
+                bounds += (0, deg)
+                gaps[i] -= k
+                rows -= k
+                continue
+            above = i + 1 < len(levels)
+            need = deg + negcum[i + 1] if above else deg
+            level = levels[i]
+            upper = levels[i + 1] if above and gaps[i + 1] == 1 else []
+            lower = levels[i - 1] if gaps[i] == 1 else None
+            # With no level at t + 1, rows take the same prefix and the next
+            # heads of level t (which holds need - deg - negcum[i] vertices),
+            # until a level above comes down to t + 1 or level t runs short.
+            k = 1 if upper else min(rows, (need - deg - negcum[i]) // need,
+                                    gaps[i + 1] - 1 if above else rows)
+            rows -= k
+            # Every vertex before p has residual above t, and past p only level
+            # t + 1 has any: the first vertex of residual t or t - 1 is p.
+            p = level[0] if not lower or lower[0] > level[0] else lower[0]
+            beyond = upper[bisect_right(upper, p):]
+            j, cut = 0, level[0]
+            for _ in range(k):
+                if cut == level[j + 1]:
+                    j += 2
+                    cut = level[j]
+                row, left = [cut], need
+                while level[j + 1] - cut < left:
+                    left -= level[j + 1] - cut
+                    row += (level[j + 1], level[j + 2])
+                    j += 2
+                    cut = level[j]
+                cut += left
+                row.append(cut)
+                if p:
+                    bounds += (0, p)
+                bounds += sorted(beyond + row) if beyond else row
+            head = level[:j + 1] + [cut]
+            rest = level[j + 2:] if cut == level[j + 1] else [cut] + level[j + 1:]
+            # Level t + 1 and the rest of t form the new level t, the heads
+            # join level t - 1, and the levels above t + 1 move down k.
+            window, window_gaps, window_cum = [], [], []
+            if lower is None:
+                window.append(head)
+                window_gaps.append(gaps[i] - 1)
+                window_cum.append(negcum[i])
+            else:
+                levels[i - 1] = _union(lower, head)
+            merged = _union(rest, upper)
+            if merged:
+                window.append(merged)
+                window_gaps.append(1)
+                window_cum.append(negcum[i] + k * need)
             if above and not upper:
-                gaps[i + 1] -= 1
-        stop = i + 2 if upper else i + 1
-        levels[i:stop], gaps[i:stop], negcum[i:stop] = window, window_gaps, window_cum
+                gaps[i + 1] -= k if merged else k - 1
+            stop = i + 2 if upper else i + 1
+            levels[i:stop], gaps[i:stop], negcum[i:stop] = window, window_gaps, window_cum
     if len(levels) > 1:
         raise RuntimeError("greedy realization left unmet demand on a graphic pair")
     spans = np.array(bounds, dtype=np.int64).reshape(-1, 2)
+    if copies:
+        counts = np.ones(len(spans), dtype=np.int64)
+        counts[copies[::2]] = copies[1::2]
+        spans = np.repeat(spans, counts, axis=0)
     lengths = spans[:, 1] - spans[:, 0]
     edges = np.empty((e.total, 2), dtype=np.int64)
     edges[:, 0] = np.repeat(np.arange(1, len(e) + 1), e.values)

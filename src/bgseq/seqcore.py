@@ -183,11 +183,14 @@ class BlockForm:
 
 def to_blocks(x: DegreeSequence) -> BlockForm:
     """Run-length encode a decreasing sequence into BlockForm.  O(len(x)):
-    a run starts wherever an entry differs from its predecessor."""
+    a run starts wherever an entry differs from its predecessor, so one
+    boolean pass marks every run bound, both ends included."""
     v = x.values
-    starts = np.concatenate(([0], np.flatnonzero(v[1:] != v[:-1]) + 1))
-    counts = np.diff(starts, append=v.size)
-    return BlockForm(tuple(zip(v[starts].tolist(), counts.tolist())))
+    cut = np.empty(v.size + 1, dtype=bool)
+    cut[0] = cut[-1] = True
+    np.not_equal(v[1:], v[:-1], out=cut[1:-1])
+    bounds = np.flatnonzero(cut)
+    return BlockForm(tuple(zip(v[bounds[:-1]].tolist(), np.diff(bounds).tolist())))
 
 
 @dataclass(frozen=True)

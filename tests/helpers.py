@@ -8,6 +8,7 @@ import numpy as np
 
 from bgseq import (
     MAX_INPUT,
+    BlockForm,
     ClassParams,
     DegreeSequence,
     EmptyInput,
@@ -153,6 +154,22 @@ def structured_graphic_pairs(count: int, seed: int, max_side: int = 60):
         yield DegreeSequence(e.copy()), DegreeSequence(f.copy())
 
 
+def batch_boundary_pairs(count: int, seed: int, max_side: int = 10):
+    """Degree-sequence pairs of seeded bipartite graphs made of one to three
+    adjacency rows, each repeated up to 12 times: long runs of equal left
+    degree against right sides whose levels sit 1, 2 or more apart, hold
+    fewer, as many or more vertices than a run takes, and end in zeros where
+    no row reaches a column.  Graphic by construction."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, max_side + 1))
+        rows = rng.random((int(rng.integers(1, 4)), n)) < rng.uniform(0.1, 0.9)
+        adj = np.repeat(rows, rng.integers(1, 13, size=len(rows)), axis=0)
+        e = np.sort(adj.sum(axis=1).astype(np.int64))[::-1]
+        f = np.sort(adj.sum(axis=0).astype(np.int64))[::-1]
+        yield DegreeSequence(e.copy()), DegreeSequence(f.copy())
+
+
 def reference_realize_edges(e: DegreeSequence, f: DegreeSequence) -> list[list[int]]:
     """Ryser's greedy as first written, kept to pin the tie-break: one lexsort
     per left vertex (largest residual first, then smallest index), edges
@@ -167,6 +184,50 @@ def reference_realize_edges(e: DegreeSequence, f: DegreeSequence) -> list[list[i
         residual[chosen] -= 1
         edges.update((i + 1, j + 1) for j in chosen.tolist())
     return [list(edge) for edge in sorted(edges)]
+
+
+def run_length_graphic(x: BlockForm, y: BlockForm) -> bool:
+    """The strong-index test of Zverovich & Zverovich (1992) on run-length
+    forms: equal sums, and prefix_K(x) <= sum_i min(K, y_i) only at the ends
+    K of the positive runs of x.  The caps come from the runs of y, smallest
+    first, as K * (entries of y at least K) + (sum of the entries below K):
+    O(runs of x + runs of y), no sequence expanded."""
+    if sum(v * c for v, c in x.blocks) != sum(w * c for w, c in y.blocks):
+        return False
+    ascending = list(reversed(y.blocks))
+    j, low_sum, high_count = 0, 0, sum(c for _, c in y.blocks)
+    k = prefix = 0
+    for v, c in x.blocks:
+        if v == 0:
+            break
+        k, prefix = k + c, prefix + v * c
+        while j < len(ascending) and ascending[j][0] < k:
+            low_sum += ascending[j][0] * ascending[j][1]
+            high_count -= ascending[j][1]
+            j += 1
+        if prefix > k * high_count + low_sum:
+            return False
+    return True
+
+
+def random_general_classes(count: int, seed: int) -> Iterator[ClassParams]:
+    """Seeded nonempty classes with a > b and c > d: lengths log-uniform from
+    2 to MAX_INPUT, maxima log-uniform up to the other side's length, each
+    minimum zero half the time (else uniform below the maximum, as far as
+    MAX_INPUT lets a sum reach), and S uniform over the sums both sides
+    allow, at most MAX_INPUT."""
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        m, n = (int(2 ** rng.uniform(1, 20)) for _ in range(2))
+        a, c = int(2 ** rng.uniform(0, np.log2(n))), int(2 ** rng.uniform(0, np.log2(m)))
+        b, d = (int(rng.integers(0, min(high, (MAX_INPUT - high) // (length - 1) + 1)))
+                if rng.random() < 0.5 else 0 for high, length in ((a, m), (c, n)))
+        lo = max(a + b * (m - 1), c + d * (n - 1))
+        hi = min(a * (m - 1) + b, c * (n - 1) + d, MAX_INPUT)
+        if lo <= hi:
+            made += 1
+            yield ClassParams(a, b, c, d, m, n, int(rng.integers(lo, hi + 1)))
 
 
 def random_decreasing(count: int, seed: int, max_len: int = 40, max_val: int = 6):

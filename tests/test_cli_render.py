@@ -18,11 +18,12 @@ from bgseq import (
     Verdict,
     canonical_pair,
     gale_ryser,
+    realize,
     theorem_main,
     to_blocks,
 )
 from bgseq.cli import _json_ints, format_runs, main, parse_sequence_arg
-from helpers import random_decreasing
+from helpers import random_decreasing, structured_graphic_pairs, tie_heavy_graphic_pairs
 
 
 def call(argv):
@@ -89,6 +90,29 @@ class TestAnswerPeakMemory:
                                       + ["--json"])
         assert code in (0, 1) and len(json.loads(out)["E"]) == m
         assert peak <= 6 * 2**20
+
+
+class TestEdgeRendering:
+    def test_matches_plain_rendering(self):
+        # Edge lists are written by runs of consecutive right ends; the bytes
+        # match a plain rendering of edges.tolist(), edge by edge.
+        shapes = set()
+        for e, f in [*tie_heavy_graphic_pairs(200, seed=41), *structured_graphic_pairs(150, seed=42)]:
+            edges = realize(e, f).edges.tolist()
+            left, right = e.values.tolist(), f.values.tolist()
+            sides = ["--left", ",".join(map(str, left)), "--right", ",".join(map(str, right))]
+            lines = "".join(f"{u} {v}\n" for u, v in edges)
+            plain = json.dumps(edges, separators=(",", ":"))
+            pair = json.dumps({"left": left, "right": right, "graphic": True, "sums_equal": True,
+                               "edges": edges}, separators=(",", ":"))
+            assert call(["realize", *sides]) == (0, lines, "")
+            assert call(["realize", *sides, "--json"]) == (0, f'{{"edges":{plain}}}\n', "")
+            assert call(["check-pair", *sides, "--realize"]) == (0, "graphic\n" + lines, "")
+            assert call(["check-pair", *sides, "--realize", "--json"]) == (0, pair + "\n", "")
+            breaks = [a[0] == b[0] and b[1] > a[1] + 1 for a, b in zip(edges, edges[1:])]
+            shapes.add((bool(edges), 0 in left, any(breaks)))
+        assert {(False, True, False), (True, True, True), (True, False, True),
+                (True, False, False)} <= shapes
 
 
 class TestJsonInts:

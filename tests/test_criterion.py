@@ -1,6 +1,7 @@
 """Closed-form criterion, canonical decomposition, smoothing, symmetric test."""
 
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -29,9 +30,18 @@ from bgseq import (
     smooth_to_canonical,
     symmetric_sufficient,
     theorem_main,
+    to_blocks,
 )
 from bgseq.criterion import MIN_TERM_NAMES
-from helpers import all_decreasing, grid_params, min_cap_sum
+from helpers import (
+    all_decreasing,
+    grid_params,
+    min_cap_sum,
+    random_decreasing,
+    random_general_classes,
+    random_pair_corpus,
+    run_length_graphic,
+)
 
 
 class TestDecompose:
@@ -171,6 +181,31 @@ class TestTheoremMain:
         assert peak < 64 * 1024
         pair = canonical_pair(params)
         assert (report.verdict is Verdict.ALL_GRAPHIC) == gale_ryser(pair.E, pair.F).graphic
+
+
+class TestRunLengthLeg:
+    """The closed form against an independent strong-index test on the
+    canonical pair's runs, up to MAX_INPUT, with no sequence expanded."""
+
+    def test_run_length_test_matches_gale_ryser(self):
+        pairs = list(random_pair_corpus(1_000, seed=31, max_len=30, max_val=8))
+        pairs += zip(random_decreasing(1_000, seed=32), random_decreasing(1_000, seed=33))
+        verdicts = set()
+        for x, y in pairs:
+            graphic = gale_ryser(x, y).graphic
+            assert run_length_graphic(to_blocks(x), to_blocks(y)) == graphic, (x, y)
+            verdicts.add((graphic, x.smallest == 0 or y.smallest == 0))
+        assert len(verdicts) == 4
+
+    @pytest.mark.parametrize("count", [10_000, pytest.param(100_000, marks=pytest.mark.wide_grid)])
+    def test_closed_form_matches_run_length_test(self, count):
+        verdicts = Counter()
+        for params in random_general_classes(count, seed=34):
+            pair = canonical_pair(params)
+            all_graphic = theorem_main(params).verdict is Verdict.ALL_GRAPHIC
+            assert run_length_graphic(pair.E_blocks, pair.F_blocks) == all_graphic, params
+            verdicts[all_graphic, params.b == 0, params.d == 0, params.m > 1 << 16] += 1
+        assert len(verdicts) == 16
 
 
 class TestDominatesPrefix:

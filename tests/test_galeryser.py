@@ -190,6 +190,53 @@ class TestRealize:
             right_shapes.add((runs == 1, runs == len(f), f.smallest == 0))
         assert len(right_shapes) == 8
 
+    def test_batches_match_lexsort_reference(self):
+        # Runs of equal left degree go in batches; a batch ends where a level
+        # above comes down to one above the run's level t, where level t
+        # runs short, and where t comes down to one above the level below.
+        # Seen at the start of each run: the gaps to the levels above and
+        # below t, and the size of level t against what the whole run takes.
+        from helpers import batch_boundary_pairs, reference_realize_edges
+
+        above, below, level, tail = set(), set(), set(), set()
+        for e, f in batch_boundary_pairs(5_000, seed=13):
+            edges = realize(e, f).edges.tolist()
+            assert edges == reference_realize_edges(e, f), (e, f)
+            residual = f.values.tolist()
+            for deg, rows in to_blocks(e).blocks:
+                if deg == 0:
+                    break
+                t = sorted(residual, reverse=True)[deg - 1]
+                higher = [r for r in residual if r > t]
+                lower = [r for r in residual if r < t]
+                need, size = deg - len(higher), len(residual) - len(higher) - len(lower)
+                above.add(min(min(higher) - t, 3) if higher else None)
+                below.add(min(t - max(lower), 3) if lower else None)
+                level.add(((size > need * rows) - (size < need * rows), size == need))
+                for _, v in edges[:deg * rows]:
+                    residual[v - 1] -= 1
+                del edges[:deg * rows]
+            tail.add(f.smallest == 0)
+        assert above >= {1, 2, 3} and below >= {1, 2, 3}
+        # A level exactly as large as one row's need is never more than the
+        # whole run takes.
+        assert level == {(-1, False), (0, False), (1, False), (-1, True), (0, True)}
+        assert tail == {False, True}
+
+    def test_long_runs_against_two_right_vertices(self):
+        # 5·10^5 rows of degree 2 and 5·10^5 of degree 1 against right
+        # degrees (10^6, 5·10^5): each run is one batch plus one single row.
+        # Rows 1..5·10^5 take right vertices 1 and 2; later rows take 1.
+        half = 500_000
+        e = DegreeSequence(np.repeat(np.array([2, 1]), half))
+        real = realize(e, DegreeSequence(np.array([2 * half, half])))
+        edges = real.edges
+        assert edges.shape == (3 * half, 2) and real.degree_audit()
+        assert np.array_equal(edges[:2 * half, 0], np.repeat(np.arange(1, half + 1), 2))
+        assert np.array_equal(edges[:2 * half, 1], np.tile([1, 2], half))
+        assert np.array_equal(edges[2 * half:, 0], np.arange(half + 1, 2 * half + 1))
+        assert (edges[2 * half:, 1] == 1).all()
+
     def test_large_sparse_pair(self):
         # n = 10^5 with about 10^6 edges: one scan of the right side per
         # left vertex took 28 s here.

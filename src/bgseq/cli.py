@@ -188,7 +188,7 @@ def format_runs(seq: DegreeSequence | BlockForm) -> str:
 
 
 class _Raw(tuple):
-    """A value already encoded as JSON, as pieces of text ``_dumps`` copies in."""
+    """A value already encoded as JSON, as pieces of text ``_dump`` writes."""
 
 
 def _json_runs(blocks: BlockForm) -> _Raw:
@@ -220,11 +220,12 @@ def _json_ints(values: np.ndarray) -> _Raw:
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-def _dumps(obj: dict) -> str:
-    """The one JSON codec: compact separators.  Each stretch of plain values
-    between ``_Raw`` ones is one encoder call, and all pieces are joined
-    once, so no output-sized list of Python ints is built and the answer is
-    copied once; an object with no ``_Raw`` value is a single encoder call."""
+def _dump(obj: dict) -> None:
+    """The one JSON codec: compact separators, one answer a line on stdout.
+    Each stretch of plain values between ``_Raw`` ones is one encoder call,
+    and the pieces are written once, piece by piece, after the last is made:
+    no output-sized list of Python ints or joined string is built, and an
+    object with no ``_Raw`` value is a single encoder call."""
     parts, plain = ["{"], {}
     for key, value in obj.items():
         if isinstance(value, _Raw):
@@ -235,10 +236,10 @@ def _dumps(obj: dict) -> str:
         else:
             plain[key] = value
     if plain:
-        parts.append(_ENCODER.encode(plain)[1:])
+        parts.append(_ENCODER.encode(plain)[1:] + "\n")
     else:
-        parts[-1] = "}"
-    return "".join(parts)
+        parts[-1] = "}\n"
+    sys.stdout.writelines(parts)
 
 
 SWEEP_FIELDS = ("a", "b", "c", "d", "m", "n", "S", "nonempty", "r", "s", "p", "q", "lhs", "rhs", "verdict")
@@ -319,18 +320,13 @@ def _pair_object(e: DegreeSequence, f: DegreeSequence, verdict) -> dict:
 
 
 def _edge_runs(real: BipartiteRealization) -> Iterator[tuple[int, list[str]]]:
-    # Each run of consecutive right ends of one left vertex, with those ends
-    # as text: realize returns the rows sorted, so one numpy pass finds where
-    # runs start (the first edge always does: right ends are 1-based), and a
+    # Each run of right ends of one left vertex, with those ends as text: a
     # run's labels are one slice of a list of labels up to the largest right
-    # end, not of every right vertex.  The bounds are read through
+    # end, not of every right vertex.  The runs' columns are read through
     # memoryviews, which make their ints one run at a time.
-    left, right = real.edges[:, 0], real.edges[:, 1]
-    breaks = (right[1:] - right[:-1] != 1) | (left[1:] != left[:-1])
-    starts = np.flatnonzero(np.concatenate((right[:1] > 0, breaks)))
-    ends = np.append(right[starts[1:] - 1], right[-1:]) + 1
-    labels = list(map(str, range(right.max(initial=0) + 1)))
-    for u, lo, hi in zip(memoryview(left[starts]), memoryview(right[starts]), memoryview(ends)):
+    runs = real.edge_runs
+    labels = list(map(str, range(runs[:, 2].max(initial=0))))
+    for u, lo, hi in zip(*map(memoryview, runs.T)):
         yield u, labels[lo:hi]
 
 
@@ -343,8 +339,7 @@ def _edges_json(real: BipartiteRealization) -> _Raw:
 
 
 def _print_edges(real: BipartiteRealization) -> None:
-    if real.edges.size:
-        print("\n".join(f"{u} " + f"\n{u} ".join(cols) for u, cols in _edge_runs(real)))
+    sys.stdout.writelines([f"{u} " + f"\n{u} ".join(cols) + "\n" for u, cols in _edge_runs(real)])
 
 
 def _params_from_args(args) -> ClassParams:
@@ -358,7 +353,7 @@ def cmd_check_pair(args) -> int:
         obj = _pair_object(e, f, verdict)
         if real is not None:
             obj["edges"] = _edges_json(real)
-        print(_dumps(obj))
+        _dump(obj)
     else:
         print(_verdict_line(verdict))
         if real is not None:
@@ -369,11 +364,14 @@ def cmd_check_pair(args) -> int:
 def cmd_realize(args) -> int:
     e, f, verdict = _load_pair(args)
     if not verdict.graphic:
-        print(_dumps(_pair_object(e, f, verdict)) if args.json else _verdict_line(verdict))
+        if args.json:
+            _dump(_pair_object(e, f, verdict))
+        else:
+            print(_verdict_line(verdict))
         return EXIT_NEGATIVE
     real = realize(e, f)
     if args.json:
-        print(_dumps({"edges": _edges_json(real)}))
+        _dump({"edges": _edges_json(real)})
     else:
         _print_edges(real)
     return EXIT_OK
@@ -407,7 +405,7 @@ def cmd_check_class(args) -> int:
                     "left": list(w.left), "right": list(w.right), "failing_k": w.failing_k,
                 },
             )
-        print(_dumps({name: value for name, value in fields.items() if value is not None}))
+        _dump({name: value for name, value in fields.items() if value is not None})
     else:
         print(f"class P(a={params.a}, b={params.b}, c={params.c}, d={params.d}, "
               f"m={params.m}, n={params.n}, S={params.S})")
@@ -460,7 +458,7 @@ def cmd_sweep(args) -> int:
         rows = list(rows)
     if args.format == "json":
         for row in rows:
-            print(_dumps({name: row[name] for name in names if row[name] is not None}))
+            _dump({name: row[name] for name in names if row[name] is not None})
     else:
         print(",".join(names))
         for row in rows:
@@ -473,7 +471,7 @@ def cmd_canonical(args) -> int:
     fields = _decomposition_fields(decompose(params))
     pair = criterion.canonical_pair(params)
     if args.json:
-        print(_dumps({**fields, "E": _json_runs(pair.E_blocks), "F": _json_runs(pair.F_blocks)}))
+        _dump({**fields, "E": _json_runs(pair.E_blocks), "F": _json_runs(pair.F_blocks)})
     else:
         print(_decomposition_line(fields))
         print(f"E = {format_runs(pair.E_blocks)}")
@@ -494,7 +492,7 @@ def cmd_symmetric(args) -> int:
         obj = {"a": args.a, "b": args.b, "m": args.m, "holds": holds, "lhs": lhs, "rhs": rhs}
         if args.full:
             obj["not_all_graphic_S"] = failures
-        print(_dumps(obj))
+        _dump(obj)
     else:
         state = "holds" if holds else "fails"
         print(f"condition 4*m*b >= (a+b)^2 - 1: {state} ({lhs} vs {rhs})")

@@ -4,17 +4,18 @@
 one side bounded by min-cap sums of the other, for every k).  ``zz_check``
 reaches the same verdict testing only the strong indices of the left
 sequence; both take O(len(x) + len(y)) time and memory.  ``realize``
-constructs an explicit bipartite graph for a graphic pair as a sorted edge
-array.  It keeps the right side as levels of equal residual demand, each a
-list of index intervals, and takes equal-degree left vertices in batches
+constructs an explicit bipartite graph for a graphic pair as sorted runs of
+right ends.  It keeps the right side as levels of equal residual demand, each
+a list of index intervals, and takes equal-degree left vertices in batches
 that each cost O(log L + j) for L levels and the j intervals merged or
-written: O(len(e) + len(f) + |E|) plus that per batch, not per row.
+written (the runs): O(len(e) + len(f)) plus that per batch, never per edge.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,36 +87,47 @@ def zz_check(x: DegreeSequence, y: DegreeSequence) -> PairVerdict:
 class BipartiteRealization:
     """A simple bipartite graph with prescribed degrees on both sides.
 
-    ``edges`` is a read-only (|E|, 2) int64 array of (left_index,
-    right_index) rows, 1-based and sorted by (left, right), so no edge
-    repeats; left vertex i has exactly ``left_degrees[i-1]`` edges and
-    symmetrically on the right.
+    ``edge_runs`` is a read-only (R, 3) int64 array of runs (left, first,
+    end): left vertex ``left`` is joined to right vertices first .. end - 1.
+    Indices are 1-based, runs sorted by (left, first) and disjoint, so no
+    edge repeats; left vertex i has exactly ``left_degrees[i-1]`` edges and
+    symmetrically on the right.  ``edges`` expands the runs on first use into
+    a read-only (|E|, 2) array of (left, right) rows in the same order.
     """
 
     left_degrees: DegreeSequence
     right_degrees: DegreeSequence
-    edges: np.ndarray
+    edge_runs: np.ndarray
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        left, first, end = self.edge_runs.T
+        lengths = end - first
+        right = np.repeat(first - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+        edges = np.column_stack((np.repeat(left, lengths), right))
+        edges.setflags(write=False)
+        return edges
 
     def degree_audit(self) -> bool:
-        """Whether ``edges`` is a simple graph with the prescribed degrees:
-        an (|E|, 2) array of in-range 1-based rows that strictly increase in
-        (left, right) order, so no edge repeats, whose recounted degrees
+        """Whether ``edge_runs`` is a simple graph with the prescribed
+        degrees: an (R, 3) integer array of in-range 1-based runs, each
+        nonempty, in strictly increasing (left, first) order with the runs of
+        one left vertex disjoint, so no edge repeats, whose recounted degrees
         equal both sequences entrywise."""
-        edges = np.asarray(self.edges)
+        runs = np.asarray(self.edge_runs)
         m, n = len(self.left_degrees), len(self.right_degrees)
-        if (edges.dtype.kind not in "iu" or edges.ndim != 2 or edges.shape[1] != 2
-                or len(edges) != self.left_degrees.total):
+        if runs.dtype.kind not in "iu" or runs.ndim != 2 or runs.shape[1] != 3:
             return False
-        edges = edges.astype(np.int64, copy=False)
-        left, right = edges[:, 0], edges[:, 1]
-        if np.any((left < 1) | (left > m) | (right < 1) | (right > n)):
+        left, first, end = runs.astype(np.int64, copy=False).T
+        if np.any((left < 1) | (left > m) | (first < 1) | (end <= first) | (end > n + 1)):
             return False
-        if np.any(np.diff(left * (n + 1) + right) <= 0):
+        # Each run starts at or past where the one before it ends, in (left, right) order.
+        if np.any(left[1:] * (n + 2) + first[1:] < left[:-1] * (n + 2) + end[:-1]):
             return False
-        return all(
-            np.array_equal(np.bincount(ends - 1, minlength=len(degrees)), degrees.values)
-            for ends, degrees in ((left, self.left_degrees), (right, self.right_degrees))
-        )
+        # Right degrees: the cumulative sum of +1 at each run's first, -1 at its end.
+        steps = np.bincount(first, minlength=n + 2) - np.bincount(end, minlength=n + 2)
+        return (np.array_equal(np.bincount(left - 1, end - first, minlength=m), self.left_degrees.values)
+                and np.array_equal(np.cumsum(steps)[1:n + 1], self.right_degrees.values))
 
 
 def _union(a: list[int], b: list[int]) -> list[int]:
@@ -130,7 +142,7 @@ def _union(a: list[int], b: list[int]) -> list[int]:
 
 
 def realize(e: DegreeSequence, f: DegreeSequence) -> BipartiteRealization:
-    """Build a bipartite graph realizing the pair (e, f).
+    """Build a bipartite graph realizing the pair (e, f), as runs of right ends.
 
     Left vertices are processed in the given (decreasing-degree) order; each
     connects to the right vertices of currently largest residual demand,
@@ -138,17 +150,15 @@ def realize(e: DegreeSequence, f: DegreeSequence) -> BipartiteRealization:
     the dominance test.
 
     Because f is decreasing and ties go to the smallest index, a right
-    vertex never has residual demand two below a later one.  So the
-    vertices of residual at least t + 2 precede every vertex of residual at
-    most t, and a row that takes everything above residual t, plus the head
-    of residual t, changes only the levels t + 1, t and t - 1 of the right
-    side: the levels above move down one as a whole.  Each level is kept as
-    sorted index intervals.  Rows of equal degree go in batches of k: while
-    no level sits at t + 1, k rows take the same prefix and the next k heads
-    of level t; while no level sits at t - 1, k rows that each take all of
-    level t take the same prefix, and those levels move down k.  A batch
-    costs O(log L + j) for L nonempty levels and the j intervals it merges
-    or writes: O(n + m + |E|) plus that per batch, not per left vertex.
+    vertex never has residual demand two below a later one, so a row that
+    takes everything above residual t plus the head of residual t changes
+    only the levels t + 1, t and t - 1 of the right side, each kept as sorted
+    index intervals.  Rows of equal degree go in batches of k: while no level
+    sits at t + 1, k rows take the same prefix and the next k heads of level
+    t; while no level sits at t - 1, k rows that each take all of level t
+    take the same prefix.  A batch costs O(log L + j) for L nonempty levels
+    and the j intervals it merges or writes, and the intervals it writes are
+    the runs returned: O(n + m) plus that per batch, not per left vertex.
     """
     verdict = gale_ryser(e, f)
     if not verdict.graphic:
@@ -247,10 +257,9 @@ def realize(e: DegreeSequence, f: DegreeSequence) -> BipartiteRealization:
         counts = np.ones(len(spans), dtype=np.int64)
         counts[copies[::2]] = copies[1::2]
         spans = np.repeat(spans, counts, axis=0)
+    # A span's left vertex is the row its first edge falls in.
     lengths = spans[:, 1] - spans[:, 0]
-    edges = np.empty((e.total, 2), dtype=np.int64)
-    edges[:, 0] = np.repeat(np.arange(1, len(e) + 1), e.values)
-    edges[:, 1] = np.repeat(spans[:, 0] - (np.cumsum(lengths) - lengths) + 1, lengths)
-    edges[:, 1] += np.arange(e.total)
-    edges.setflags(write=False)
-    return BipartiteRealization(e, f, edges)
+    rows = np.searchsorted(np.cumsum(e.values), np.cumsum(lengths) - lengths, side="right")
+    runs = np.column_stack((rows + 1, spans + 1))
+    runs.setflags(write=False)
+    return BipartiteRealization(e, f, runs)

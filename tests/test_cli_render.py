@@ -4,6 +4,8 @@ the CLI up to MAX_INPUT, and class commands with every flag filled in."""
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from bgseq import (
     MAX_INPUT,
+    BipartiteRealization,
     ClassParams,
     DegreeSequence,
     Verdict,
@@ -23,7 +26,13 @@ from bgseq import (
     to_blocks,
 )
 from bgseq.cli import _json_ints, format_runs, main, parse_sequence_arg
-from helpers import random_decreasing, structured_graphic_pairs, tie_heavy_graphic_pairs
+from helpers import (
+    batch_boundary_pairs,
+    random_decreasing,
+    reference_realize_edges,
+    structured_graphic_pairs,
+    tie_heavy_graphic_pairs,
+)
 
 
 def call(argv):
@@ -68,15 +77,23 @@ def answer_peak(argv):
 
 
 class TestAnswerPeakMemory:
-    """Each large JSON answer is written once: its peak stays within a bound
-    set between the answer's size and what copying it three more times took."""
+    """Each large answer is written once, piece by piece, and an edge list
+    from the runs of its realization: its peak stays within a bound set
+    between the answer's size and what one more copy of it, or the (|E|, 2)
+    edge array, took."""
 
     def test_realize_json(self):
         left, right = graphic_pair_text(2000, 0.05, seed=11)
         code, out, peak = answer_peak(["check-pair", "--left", left, "--right", right,
                                        "--realize", "--json"])
         assert code == 0 and len(json.loads(out)["edges"]) > 150_000
-        assert peak <= 9 * 2**20
+        assert peak <= 6 * 2**20
+
+    def test_realize_text(self):
+        left, right = graphic_pair_text(2000, 0.05, seed=11)
+        code, out, peak = answer_peak(["realize", "--left", left, "--right", right])
+        assert code == 0 and out.count("\n") > 150_000
+        assert peak <= 5 * 2**20
 
     def test_pair_json(self):
         left, right = graphic_pair_text(8000, 0.05, seed=12)
@@ -93,12 +110,19 @@ class TestAnswerPeakMemory:
 
 
 class TestEdgeRendering:
-    def test_matches_plain_rendering(self):
-        # Edge lists are written by runs of consecutive right ends; the bytes
-        # match a plain rendering of edges.tolist(), edge by edge.
+    def test_matches_plain_rendering(self, monkeypatch):
+        # Edge lists are written by runs of right ends, straight from the
+        # realization's runs; the bytes match a plain rendering of the
+        # reference greedy's edges, edge by edge, and the (|E|, 2) array is
+        # never built.
+        def expanded(self):
+            raise AssertionError("the CLI expanded the edge array")
+
+        monkeypatch.setattr(BipartiteRealization, "edges", property(expanded))
         shapes = set()
-        for e, f in [*tie_heavy_graphic_pairs(200, seed=41), *structured_graphic_pairs(150, seed=42)]:
-            edges = realize(e, f).edges.tolist()
+        for e, f in [*tie_heavy_graphic_pairs(200, seed=41), *structured_graphic_pairs(150, seed=42),
+                     *batch_boundary_pairs(200, seed=43)]:
+            edges = reference_realize_edges(e, f)
             left, right = e.values.tolist(), f.values.tolist()
             sides = ["--left", ",".join(map(str, left)), "--right", ",".join(map(str, right))]
             lines = "".join(f"{u} {v}\n" for u, v in edges)
@@ -113,6 +137,36 @@ class TestEdgeRendering:
             shapes.add((bool(edges), 0 in left, any(breaks)))
         assert {(False, True, False), (True, True, True), (True, False, True),
                 (True, False, False)} <= shapes
+
+    def test_real_pipe_matches_in_process_answers(self):
+        # Answers written in pieces through the TextIOWrapper of a real
+        # process's stdout: the bytes are those of an in-process call, and
+        # of a plain rendering of the edges.
+        left, right = graphic_pair_text(640, 0.05, seed=13)
+        e, f = (DegreeSequence(parse_sequence_arg(side)) for side in (left, right))
+        edges = realize(e, f).edges.tolist()
+        assert 15_000 < len(edges) < 25_000
+        sides = ["--left", left, "--right", right]
+        pair = {"left": e.values.tolist(), "right": f.values.tolist(), "graphic": True,
+                "sums_equal": True, "edges": edges}
+        m = 1 << 16
+        class_call = class_argv("check-class", ClassParams(9, 1, 7, 1, m, m, 3 * m // 2)) + ["--json"]
+        cases = [
+            (["realize", *sides], "".join(f"{u} {v}\n" for u, v in edges)),
+            (["realize", *sides, "--json"], json.dumps({"edges": edges}, separators=(",", ":")) + "\n"),
+            (["check-pair", *sides, "--realize", "--json"], json.dumps(pair, separators=(",", ":")) + "\n"),
+            (class_call, None),
+        ]
+        for argv, expected in cases:
+            code, out, err = call(argv)
+            proc = subprocess.run([sys.executable, "-m", "bgseq.cli", *argv],
+                                  capture_output=True, timeout=60)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+            if expected is None:
+                obj = json.loads(out)
+                assert len(obj["E"]) == m
+                expected = json.dumps(obj, separators=(",", ":")) + "\n"
+            assert out == expected
 
 
 class TestJsonInts:

@@ -24,6 +24,19 @@ def seq(*entries):
     return DegreeSequence(entries)
 
 
+def expanded_runs(real):
+    """The edges of a realization as (left, right) lists, after checking
+    that its runs are a read-only int64 (R, 3) array sorted by (left,
+    first), each nonempty, the runs of one row disjoint."""
+    runs = real.edge_runs
+    assert runs.dtype == np.int64 and runs.ndim == 2 and runs.shape[1] == 3
+    assert not runs.flags.writeable
+    left, first, end = runs.T
+    assert (first < end).all()
+    assert ((left[1:] > left[:-1]) | ((left[1:] == left[:-1]) & (first[1:] >= end[:-1]))).all()
+    return real.edges.tolist()
+
+
 class TestGaleRyser:
     def test_complete_bipartite(self):
         verdict = gale_ryser(seq(2, 2), seq(2, 2))
@@ -166,6 +179,13 @@ class TestRealize:
         assert not real.edges.flags.writeable
         assert real.edges.tolist() == sorted(real.edges.tolist())
         assert realize(seq(0, 0), seq(0)).edges.shape == (0, 2)
+        assert realize(seq(0, 0), seq(0)).edge_runs.shape == (0, 3)
+
+    def test_edges_are_expanded_on_first_use(self):
+        real = realize(seq(3, 2, 2, 1), seq(3, 3, 1, 1))
+        assert "edges" not in vars(real) and real.degree_audit()
+        assert expanded_runs(real) == [[1, 1], [1, 2], [1, 3], [2, 1], [2, 2], [3, 1], [3, 2], [4, 4]]
+        assert vars(real)["edges"] is real.edges
 
     def test_matches_lexsort_reference(self):
         # The residual levels keep the original greedy's tie-break: same
@@ -180,12 +200,12 @@ class TestRealize:
 
         shapes = set()
         for e, f in tie_heavy_graphic_pairs(2_500, seed=11):
-            assert realize(e, f).edges.tolist() == reference_realize_edges(e, f), (e, f)
+            assert expanded_runs(realize(e, f)) == reference_realize_edges(e, f), (e, f)
             shapes.add((len(e) == 1, len(f) == 1, e.smallest == 0, e.largest == len(f)))
         assert len(shapes) >= 12
         right_shapes = set()
         for e, f in structured_graphic_pairs(1_500, seed=12):
-            assert realize(e, f).edges.tolist() == reference_realize_edges(e, f), (e, f)
+            assert expanded_runs(realize(e, f)) == reference_realize_edges(e, f), (e, f)
             runs = len(to_blocks(f).blocks)
             right_shapes.add((runs == 1, runs == len(f), f.smallest == 0))
         assert len(right_shapes) == 8
@@ -200,7 +220,7 @@ class TestRealize:
 
         above, below, level, tail = set(), set(), set(), set()
         for e, f in batch_boundary_pairs(5_000, seed=13):
-            edges = realize(e, f).edges.tolist()
+            edges = expanded_runs(realize(e, f))
             assert edges == reference_realize_edges(e, f), (e, f)
             residual = f.values.tolist()
             for deg, rows in to_blocks(e).blocks:
@@ -259,26 +279,40 @@ class TestRealize:
 
     def test_audit_catches_a_moved_edge(self):
         real = realize(seq(2, 1), seq(2, 1))
-        moved = real.edges.copy()
-        moved[2, 1] = 2
+        assert real.edge_runs[-1].tolist() == [2, 1, 2]
+        moved = real.edge_runs.copy()
+        moved[-1, 1:] += 1
         assert not BipartiteRealization(real.left_degrees, real.right_degrees, moved).degree_audit()
 
     def test_audit_rejects_repeats_bad_indices_and_disorder(self):
+        # Each edge (u, v) as the unit run (u, v, v + 1), unless a case needs
+        # longer runs.
         def audit(e, f, rows):
-            edges = np.array(rows, dtype=np.int64).reshape(-1, 2)
-            return BipartiteRealization(seq(*e), seq(*f), edges).degree_audit()
+            runs = np.array(rows, dtype=np.int64).reshape(-1, 3)
+            return BipartiteRealization(seq(*e), seq(*f), runs).degree_audit()
 
-        assert audit((2, 1), (2, 1), [[1, 1], [1, 2], [2, 1]])
+        assert audit((2, 1), (2, 1), [[1, 1, 2], [1, 2, 3], [2, 1, 2]])
+        assert audit((2, 1), (2, 1), [[1, 1, 3], [2, 1, 2]])
         # A repeated edge whose degree counts still match.
-        assert not audit((2,), (2,), [[1, 1], [1, 1]])
-        assert not audit((2, 2), (2, 2), [[1, 1], [1, 1], [2, 2], [2, 2]])
+        assert not audit((2,), (2,), [[1, 1, 2], [1, 1, 2]])
+        assert not audit((2, 2), (2, 2), [[1, 1, 2], [1, 1, 2], [2, 2, 3], [2, 2, 3]])
         # Zero, negative and too-large indices.
-        assert not audit((1,), (1,), [[0, 1]])
-        assert not audit((1,), (1,), [[1, 0]])
-        assert not audit((1,), (1,), [[1, -1]])
-        assert not audit((1, 0), (1,), [[1, 2]])
+        assert not audit((1,), (1,), [[0, 1, 2]])
+        assert not audit((1,), (1,), [[1, 0, 1]])
+        assert not audit((1,), (1,), [[1, -1, 0]])
+        assert not audit((1, 0), (1,), [[1, 2, 3]])
+        assert not audit((1,), (1,), [[2, 1, 2]])
         # The right set of edges, out of (left, right) order.
-        assert not audit((2, 1), (2, 1), [[1, 2], [1, 1], [2, 1]])
+        assert not audit((2, 1), (2, 1), [[1, 2, 3], [1, 1, 2], [2, 1, 2]])
+        assert not audit((2, 1), (2, 1), [[2, 1, 2], [1, 1, 2], [1, 2, 3]])
+        # A run whose end is not past its start: an empty one, with degrees
+        # that still match, and a reversed one.
+        assert not audit((2,), (1, 1), [[1, 1, 3], [1, 3, 3]])
+        assert not audit((1,), (1, 0), [[1, 1, 2], [1, 3, 2]])
+        # Overlapping runs in one row, with degrees that still match.
+        assert not audit((3,), (2, 1), [[1, 1, 3], [1, 1, 2]])
+        assert not audit((4,), (2, 1, 1), [[1, 1, 2], [1, 1, 4]])
         # Wrong shape or dtype.
-        assert not BipartiteRealization(seq(1), seq(1), np.array([1, 1])).degree_audit()
-        assert not BipartiteRealization(seq(1), seq(1), np.array([[1.0, 1.0]])).degree_audit()
+        assert not BipartiteRealization(seq(1), seq(1), np.array([1, 1, 2])).degree_audit()
+        assert not BipartiteRealization(seq(1), seq(1), np.array([[1, 1]])).degree_audit()
+        assert not BipartiteRealization(seq(1), seq(1), np.array([[1.0, 1.0, 2.0]])).degree_audit()

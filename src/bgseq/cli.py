@@ -4,6 +4,11 @@ Data goes to stdout, diagnostics to stderr.  Exit codes are table-driven per
 command: 0 graphic / all-graphic / condition holds, 1 the mathematical
 negative, 2 invalid input (the message names the violated hypothesis),
 3 internal criterion/oracle disagreement, 4 vacuous (empty class).
+
+numpy is imported where arrays are built: in the sequence parser, the JSON
+writer of a pair's entries, and, on first use, ``gale_ryser``, ``realize``
+and ``brute_force_all_graphic``.  The class commands without ``--verify``
+never load it.
 """
 
 from __future__ import annotations
@@ -11,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from . import criterion
 from .criterion import (
@@ -25,22 +28,22 @@ from .criterion import (
     symmetric_sufficient,
     theorem_main,
 )
-from .enumeration import (
-    OracleBudgetExceeded,
-    OracleVerdict,
-    brute_force_all_graphic,
-)
-from .galeryser import BipartiteRealization, gale_ryser, realize
 from .seqcore import (
     MAX_INPUT,
     BlockForm,
     ClassParams,
     DegreeSequence,
     LimitExceeded,
+    OracleBudgetExceeded,
     s_range,
     to_blocks,
     validate_sequence,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .galeryser import BipartiteRealization
 
 __all__ = [
     "EXIT_OK",
@@ -68,12 +71,30 @@ VERDICT_EXIT = {
     Verdict.VACUOUS: EXIT_VACUOUS,
 }
 
-# Which oracle outcome each criterion verdict must match under --verify.
+# Which oracle outcome each criterion verdict must match under --verify, as
+# the OracleVerdict value: the table is built without loading the oracle.
 _EXPECTED_ORACLE = {
-    Verdict.ALL_GRAPHIC: OracleVerdict.ALL_GRAPHIC,
-    Verdict.NOT_ALL_GRAPHIC: OracleVerdict.FOUND_NON_GRAPHIC,
-    Verdict.VACUOUS: OracleVerdict.EMPTY,
+    Verdict.ALL_GRAPHIC: "all-graphic",
+    Verdict.NOT_ALL_GRAPHIC: "found-non-graphic",
+    Verdict.VACUOUS: "empty",
 }
+
+# Module globals bound on first use: their modules import numpy.
+_DEFERRED = ("gale_ryser", "realize", "brute_force_all_graphic")
+
+
+def __getattr__(name: str):
+    # PEP 562: binds a deferred name, through the package's first-use import,
+    # when it is absent, and never replaces one already bound (a wrapper set
+    # on this module keeps its place).
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(sys.modules[__package__], name))
+
+
+def _bound(name: str):
+    """A deferred global, bound on its first use: one dict lookup after that."""
+    return globals().get(name) or __getattr__(name)
 
 
 def parse_sequence_arg(text: str) -> np.ndarray:
@@ -86,6 +107,8 @@ def parse_sequence_arg(text: str) -> np.ndarray:
     sized by it is built.  Any other text takes one ``int()`` per item, keeps
     no more than MAX_INPUT entries' worth of items, and bounds a run by
     MAX_INPUT before it is expanded; a bad item is named with its position."""
+    import numpy as np
+
     length = _plain_length(text)
     if length is None:
         return _parse_items(text)
@@ -120,6 +143,8 @@ def _pieces(text: str) -> Iterator[tuple[int, int]]:
 def _plain_length(text: str) -> int | None:
     """The number of items of plain text (see parse_sequence_arg), or None
     for any other text."""
+    import numpy as np
+
     if not text.isascii():
         return None
     length = 0
@@ -146,6 +171,8 @@ def _parse_items(text: str) -> np.ndarray:
     # only while the length is within MAX_INPUT, so nothing sized beyond the
     # bound is built; later ones are still parsed, and an entry beyond int64
     # among them is still refused as one.  A piece's items go to int64 at its end.
+    import numpy as np
+
     runs, length, wide, done = [], 0, False, 0
     for start, stop in _pieces(text):
         items = text[start:stop].split(",")
@@ -205,6 +232,8 @@ def _json_ints(values: np.ndarray) -> _Raw:
     is the closing bracket); one ``bytes.translate`` drops the NULs.  That
     is O(n·w) numpy steps for n entries of at most w digits, about 0.2 ms
     for 8,000 entries."""
+    import numpy as np
+
     rest = values.astype(np.uint32)  # exact: entries are at most MAX_INPUT
     width = len(str(rest.max()))
     cells = np.empty((rest.size, width + 1), dtype=np.uint8)
@@ -296,7 +325,7 @@ def _load_pair(args):
     """Both sequences of check-pair/realize and their Gale-Ryser verdict."""
     e = _load_sequence(args.left, "left", args.strict)
     f = _load_sequence(args.right, "right", args.strict)
-    return e, f, gale_ryser(e, f)
+    return e, f, _bound("gale_ryser")(e, f)
 
 
 def _verdict_line(verdict) -> str:
@@ -348,7 +377,7 @@ def _params_from_args(args) -> ClassParams:
 
 def cmd_check_pair(args) -> int:
     e, f, verdict = _load_pair(args)
-    real = realize(e, f) if verdict.graphic and args.realize else None
+    real = _bound("realize")(e, f) if verdict.graphic and args.realize else None
     if args.json:
         obj = _pair_object(e, f, verdict)
         if real is not None:
@@ -369,7 +398,7 @@ def cmd_realize(args) -> int:
         else:
             print(_verdict_line(verdict))
         return EXIT_NEGATIVE
-    real = realize(e, f)
+    real = _bound("realize")(e, f)
     if args.json:
         _dump({"edges": _edges_json(real)})
     else:
@@ -378,8 +407,8 @@ def cmd_realize(args) -> int:
 
 
 def _run_oracle(params: ClassParams, report, budget: int | None):
-    witness = brute_force_all_graphic(params, budget=budget)
-    agrees = witness.verdict is _EXPECTED_ORACLE[report.verdict]
+    witness = _bound("brute_force_all_graphic")(params, budget=budget)
+    agrees = witness.verdict.value == _EXPECTED_ORACLE[report.verdict]
     return witness, agrees
 
 

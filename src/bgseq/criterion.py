@@ -18,8 +18,6 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .seqcore import (
     MAX_INPUT,
     BlockForm,
@@ -237,6 +235,8 @@ def theorem_main(params: ClassParams) -> CriterionReport:
 
 def dominates_prefix(e: DegreeSequence, E: DegreeSequence) -> bool:
     """Whether every prefix sum of e is at most the matching prefix sum of E."""
+    import numpy as np
+
     if len(e) != len(E):
         raise LengthMismatch(f"lengths differ: {len(e)} vs {len(E)}")
     return bool(np.all(np.cumsum(e.values) <= np.cumsum(E.values)))
@@ -251,6 +251,8 @@ def smooth_step(f: DegreeSequence, c: int, d: int) -> DegreeSequence | None:
     and entry D-1 lowered by one, preserving length, sum, max, min and
     decreasingness while never increasing any min-cap sum.
     """
+    import numpy as np
+
     v = f.values
     if int(v[0]) != c or int(v[-1]) != d:
         raise BadExtremes(

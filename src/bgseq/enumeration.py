@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .galeryser import gale_ryser, zz_check
-from .seqcore import MAX_INPUT, ClassParams, DegreeSequence, LimitExceeded
+from .seqcore import MAX_INPUT, ClassParams, DegreeSequence, LimitExceeded, OracleBudgetExceeded
 
 __all__ = [
     "OracleBudgetExceeded",
@@ -45,10 +45,6 @@ EXACT_COUNT_STEPS = 1 << 20
 
 # Every 1000th scanned pair is re-tested with the full dominance check.
 SPOT_STRIDE = 1000
-
-
-class OracleBudgetExceeded(RuntimeError):
-    """The class is larger than the configured oracle budget."""
 
 
 class OracleVerdict(Enum):

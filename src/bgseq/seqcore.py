@@ -4,6 +4,9 @@ Validated decreasing integer sequences, their run-length block form, the
 seven-parameter class description P(a, b, c, d, m, n, S), and the small
 arithmetic primitives (sum ranges, nonemptiness) that every
 graphicality test builds on.
+
+numpy is imported inside the functions that build or read arrays, so a
+process that only works on class parameters never loads it.
 """
 
 from __future__ import annotations
@@ -11,9 +14,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_INPUT",
@@ -23,6 +27,7 @@ __all__ = [
     "NotDecreasing",
     "LimitExceeded",
     "InvalidParams",
+    "OracleBudgetExceeded",
     "DegreeSequence",
     "BlockForm",
     "ClassParams",
@@ -61,6 +66,11 @@ class LimitExceeded(SequenceError):
 
 class InvalidParams(ValueError):
     """Class parameters violate a hypothesis; the message names which one."""
+
+
+class OracleBudgetExceeded(RuntimeError):
+    """The class is larger than the configured oracle budget.  Raised by
+    ``enumeration`` and defined here, so that catching it loads no numpy."""
 
 
 class DegreeSequence:
@@ -113,6 +123,8 @@ class DegreeSequence:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DegreeSequence):
             return NotImplemented
+        import numpy as np
+
         return np.array_equal(self.values, other.values)
 
     def __hash__(self) -> int:
@@ -135,6 +147,8 @@ def validate_sequence(raw: Iterable[int], strict: bool = True) -> ValidatedSeque
     An int64 array is checked as it is in O(n) numpy steps (``np.sort`` when
     sorting); any other iterable first takes one ``operator.index`` per entry.
     """
+    import numpy as np
+
     arr = raw
     if not isinstance(arr, np.ndarray) or arr.dtype != np.int64:
         try:
@@ -170,6 +184,8 @@ class BlockForm:
     blocks: tuple[tuple[int, int], ...]
 
     def expand(self) -> DegreeSequence:
+        import numpy as np
+
         values = [v for v, _ in self.blocks]
         counts = [c for _, c in self.blocks]
         return DegreeSequence._from_trusted(
@@ -185,6 +201,8 @@ def to_blocks(x: DegreeSequence) -> BlockForm:
     """Run-length encode a decreasing sequence into BlockForm.  O(len(x)):
     a run starts wherever an entry differs from its predecessor, so one
     boolean pass marks every run bound, both ends included."""
+    import numpy as np
+
     v = x.values
     cut = np.empty(v.size + 1, dtype=bool)
     cut[0] = cut[-1] = True

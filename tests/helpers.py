@@ -52,25 +52,23 @@ def all_decreasing(max_len: int, max_val: int, min_val: int = 1) -> Iterator[tup
         yield from combinations_with_replacement(range(max_val, min_val - 1, -1), length)
 
 
-def _retarget_sum(y: np.ndarray, target: int, max_val: int, rng) -> np.ndarray:
-    # Nudge entries (staying in [1, max_val]) until the sum hits `target`;
-    # leaves y unchanged when the target is unreachable.
-    y = y.astype(np.int64).copy()
-    n = y.size
+def _retarget_sum(y: list[int], target: int, max_val: int, rng) -> None:
+    # Nudge entries (staying in [1, max_val]) in place until the sum hits
+    # `target`; leaves y unchanged when the target is unreachable.
+    n = len(y)
     if not n <= target <= n * max_val:
-        return y
-    diff = target - int(y.sum())
+        return
+    diff = target - sum(y)
     while diff != 0:
         idx = int(rng.integers(0, n))
         if diff > 0 and y[idx] < max_val:
-            step = min(diff, max_val - int(y[idx]))
+            step = min(diff, max_val - y[idx])
             y[idx] += step
             diff -= step
         elif diff < 0 and y[idx] > 1:
-            step = min(-diff, int(y[idx]) - 1)
+            step = min(-diff, y[idx] - 1)
             y[idx] -= step
             diff += step
-    return y
 
 
 def random_pair_corpus(count: int, seed: int, max_len: int = 50, max_val: int = 50):
@@ -81,12 +79,15 @@ def random_pair_corpus(count: int, seed: int, max_len: int = 50, max_val: int = 
     for trial in range(count):
         m = int(rng.integers(1, max_len + 1))
         n = int(rng.integers(1, max_len + 1))
-        x = np.sort(rng.integers(1, max_val + 1, size=m))[::-1]
-        y = rng.integers(1, max_val + 1, size=n)
+        x = sorted(rng.integers(1, max_val + 1, size=m).tolist(), reverse=True)
+        y = rng.integers(1, max_val + 1, size=n).tolist()
         if trial % 2 == 0:
-            y = _retarget_sum(y, int(x.sum()), max_val, rng)
-        y = np.sort(y)[::-1]
-        pairs.append((DegreeSequence(x.copy()), DegreeSequence(y.copy())))
+            _retarget_sum(y, sum(x), max_val, rng)
+        y.sort(reverse=True)
+        # Decreasing entries in [1, max_val]: valid as they are, so the
+        # strict validation is skipped.
+        pairs.append(tuple(DegreeSequence._from_trusted(np.array(side, dtype=np.int64))
+                           for side in (x, y)))
     return pairs
 
 

@@ -275,7 +275,7 @@ SWEEP_FIELDS = ("a", "b", "c", "d", "m", "n", "S", "nonempty", "r", "s", "p", "q
 
 
 def _decomposition_fields(dec: CanonicalDecomposition | None) -> dict:
-    return dict(r=dec.r, s=dec.s, p=dec.p, q=dec.q) if dec is not None else dict.fromkeys("rspq")
+    return dict(zip("rspq", dec)) if dec is not None else dict.fromkeys("rspq")
 
 
 def _decomposition_line(fields: dict) -> str:
@@ -287,13 +287,7 @@ def _class_fields(params: ClassParams, report: CriterionReport) -> dict:
     a field the answer does not carry (the branch of a vacuous class, the
     decomposition and inequality off the general branch) is None."""
     return {
-        "a": params.a,
-        "b": params.b,
-        "c": params.c,
-        "d": params.d,
-        "m": params.m,
-        "n": params.n,
-        "S": params.S,
+        **params._asdict(),
         "nonempty": report.verdict is not Verdict.VACUOUS,
         "verdict": report.verdict.value,
         "branch": report.branch.value if report.branch is not None else None,

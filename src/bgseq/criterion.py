@@ -15,8 +15,8 @@ without increasing any min-cap sum, which is why a single pair suffices.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .seqcore import (
     MAX_INPUT,
@@ -86,8 +86,7 @@ class Branch(enum.Enum):
 MIN_TERM_NAMES = ("r-p-d", "s-q-b", "r+s-p-q-b-d+1", "zero")
 
 
-@dataclass(frozen=True)
-class CanonicalDecomposition:
+class CanonicalDecomposition(NamedTuple):
     """Derived quantities of a nonempty class with a > b and c > d:
     r leading maxima and leftover q on the left side, s and p on the right."""
 
@@ -97,14 +96,19 @@ class CanonicalDecomposition:
     q: int
 
 
-@dataclass(frozen=True)
-class CanonicalPair:
-    """The extremal pair (E, F) of a class: E = (a^r, b+q, b^(m-r-1)) and
-    F = (c^s, d+p, d^(n-s-1)).  Held as run-length blocks, at most three a
-    side; the O(m + n) arrays ``E`` and ``F`` are expanded on first use."""
-
+class _PairBlocks(NamedTuple):
     E_blocks: BlockForm
     F_blocks: BlockForm
+
+
+class CanonicalPair(_PairBlocks):
+    """The extremal pair (E, F) of a class: E = (a^r, b+q, b^(m-r-1)) and
+    F = (c^s, d+p, d^(n-s-1)).  Held as run-length blocks, at most three a
+    side; the O(m + n) arrays ``E`` and ``F`` are expanded on first use and
+    kept in the instance ``__dict__``, which takes no other attribute."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to CanonicalPair.{name}")
 
     @cached_property
     def E(self) -> DegreeSequence:
@@ -115,8 +119,7 @@ class CanonicalPair:
         return self.F_blocks.expand()
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     """Verdict of the class criterion plus the arithmetic behind it.
 
     ``branch`` is absent for vacuous (empty-class) verdicts; the inequality
@@ -214,7 +217,7 @@ def theorem_main(params: ClassParams) -> CriterionReport:
     if params.a == params.b or params.c == params.d:
         return CriterionReport(Verdict.ALL_GRAPHIC, Branch.DEGENERATE_EQUAL_EXTREMES)
     dec = decompose(params)
-    r, s, p, q = dec.r, dec.s, dec.p, dec.q
+    r, s, p, q = dec
     b, d = params.b, params.d
     lhs = params.a * r + params.c * s
     candidates = (r - p - d, s - q - b, r + s - p - q - b - d + 1, 0)

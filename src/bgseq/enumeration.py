@@ -12,7 +12,6 @@ shares no code path with ``theorem_main``.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -59,8 +58,7 @@ class WitnessPair(NamedTuple):
     failing_k: int
 
 
-@dataclass(frozen=True)
-class ClassWitness:
+class ClassWitness(NamedTuple):
     """Oracle outcome: either every pair passed, or the first failing pair in
     enumeration order together with a violated index, or the class is empty."""
 

@@ -14,8 +14,8 @@ written (the runs): O(len(e) + len(f)) plus that per batch, never per edge.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ class NotGraphic(ValueError):
     """Raised by ``realize`` when the pair admits no bipartite graph."""
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(NamedTuple):
     """Outcome of a pair test.
 
     ``failing_k`` is the smallest tested k at which the dominance inequality
@@ -83,7 +82,6 @@ def zz_check(x: DegreeSequence, y: DegreeSequence) -> PairVerdict:
     return _first_violation(x, y, strong=True)
 
 
-@dataclass(frozen=True, eq=False)
 class BipartiteRealization:
     """A simple bipartite graph with prescribed degrees on both sides.
 
@@ -93,11 +91,20 @@ class BipartiteRealization:
     edge repeats; left vertex i has exactly ``left_degrees[i-1]`` edges and
     symmetrically on the right.  ``edges`` expands the runs on first use into
     a read-only (|E|, 2) array of (left, right) rows in the same order.
+    Attributes cannot be assigned.  Equality and hashing are by identity,
+    because arrays do not compare as one truth value.
     """
 
-    left_degrees: DegreeSequence
-    right_degrees: DegreeSequence
-    edge_runs: np.ndarray
+    def __init__(self, left_degrees: DegreeSequence, right_degrees: DegreeSequence,
+                 edge_runs: np.ndarray):
+        vars(self).update(left_degrees=left_degrees, right_degrees=right_degrees, edge_runs=edge_runs)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to BipartiteRealization.{name}")
+
+    def __repr__(self) -> str:
+        return (f"BipartiteRealization(left_degrees={self.left_degrees!r}, "
+                f"right_degrees={self.right_degrees!r}, edge_runs={self.edge_runs!r})")
 
     @cached_property
     def edges(self) -> np.ndarray:

@@ -12,7 +12,6 @@ process that only works on class parameters never loads it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
@@ -173,8 +172,7 @@ def validate_sequence(raw: Iterable[int], strict: bool = True) -> ValidatedSeque
     return ValidatedSequence(DegreeSequence._from_trusted(arr), was_sorted)
 
 
-@dataclass(frozen=True)
-class BlockForm:
+class BlockForm(NamedTuple):
     """Run-length encoding of a decreasing sequence.
 
     ``blocks`` is a tuple of (value, multiplicity) pairs with strictly
@@ -211,11 +209,7 @@ def to_blocks(x: DegreeSequence) -> BlockForm:
     return BlockForm(tuple(zip(v[bounds[:-1]].tolist(), np.diff(bounds).tolist())))
 
 
-@dataclass(frozen=True)
-class ClassParams:
-    """Parameters of a class of sequence pairs: lengths m and n, common sum
-    S, prescribed maxima a, c and minima b, d on the two sides."""
-
+class _ClassFields(NamedTuple):
     a: int
     b: int
     c: int
@@ -224,16 +218,28 @@ class ClassParams:
     n: int
     S: int
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d", "m", "n", "S"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        a, b, c, d, m, n, S = self.a, self.b, self.c, self.d, self.m, self.n, self.S
+
+class ClassParams(_ClassFields):
+    """Parameters of a class of sequence pairs: lengths m and n, common sum
+    S, prescribed maxima a, c and minima b, d on the two sides.  A named
+    tuple that every way of building one validates: the constructor,
+    ``_make`` (and so ``_replace``), copying and unpickling."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, d: int, m: int, n: int, S: int) -> "ClassParams":
+        a, b, c, d, m, n, S = map(operator.index, (a, b, c, d, m, n, S))
         _check_shape(a, b, c, d, m, n, S)
         if not max(m * b, n * d) <= S <= min(m * a, n * c):
             raise InvalidParams(
                 "requires max(m*b, n*d) <= S <= min(m*a, n*c); "
                 f"got S={S} outside [{max(m * b, n * d)}, {min(m * a, n * c)}]"
             )
+        return tuple.__new__(cls, (a, b, c, d, m, n, S))
+
+    @classmethod
+    def _make(cls, iterable) -> "ClassParams":
+        return cls(*iterable)
 
 
 def _check_shape(a: int, b: int, c: int, d: int, m: int, n: int, S: int = 0) -> None:

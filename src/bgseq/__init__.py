@@ -11,8 +11,6 @@ loads no submodule, and numpy comes only with a name from ``galeryser`` or
 ``enumeration``.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # The public names by defining module, in ``__all__`` order.
@@ -46,6 +44,6 @@ def __getattr__(name: str):
     home = _HOME.get(name, name if name in _NAMES else None)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__name__}.{home}")
+    module = __import__(f"{__name__}.{home}", fromlist=[name])
     value = globals()[name] = module if home == name else getattr(module, name)
     return value

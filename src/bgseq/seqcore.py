@@ -132,6 +132,9 @@ class DegreeSequence:
     def __repr__(self) -> str:
         return f"DegreeSequence({', '.join(map(str, self.values.tolist()))})"
 
+    def __reduce__(self):
+        return type(self), (self.values,)
+
 
 class ValidatedSequence(NamedTuple):
     sequence: DegreeSequence
@@ -240,6 +243,9 @@ class ClassParams(_ClassFields):
     @classmethod
     def _make(cls, iterable) -> "ClassParams":
         return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
 
 def _check_shape(a: int, b: int, c: int, d: int, m: int, n: int, S: int = 0) -> None:

@@ -180,6 +180,14 @@ class TestDeferredNames:
             module.no_such_name
         assert not hasattr(module, "np")
 
+    def test_importtime_logs_each_module(self):
+        # -X importtime logs only the import statement's path, which the
+        # package's first-use imports must take too.
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import bgseq.cli"],
+                              capture_output=True, text=True, timeout=60, check=True)
+        logged = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert {"bgseq", "bgseq.seqcore", "bgseq.criterion", "bgseq.cli"} <= logged
+
 
 class TestOracleBudgetExceeded:
     def test_one_exception(self):

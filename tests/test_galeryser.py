@@ -95,16 +95,6 @@ class TestZZCheck:
     def test_single_block(self):
         assert zz_check(seq(5, 5, 5), seq(3, 3, 3, 3, 3)).graphic
 
-    def test_agrees_with_gale_ryser_exhaustive(self):
-        seqs = [DegreeSequence(t) for t in all_decreasing(4, 4)]
-        for x in seqs:
-            for y in seqs:
-                assert zz_check(x, y).graphic == gale_ryser(x, y).graphic, (x, y)
-
-    def test_agrees_with_gale_ryser_random(self):
-        for x, y in random_pair_corpus(3000, seed=7):
-            assert zz_check(x, y).graphic == gale_ryser(x, y).graphic, (x, y)
-
     def test_strips_zeros(self):
         with_zeros = (seq(3, 2, 2, 1, 0, 0), seq(3, 3, 1, 1, 0))
         assert zz_check(*with_zeros).graphic
@@ -159,14 +149,6 @@ class TestRealize:
             realize(seq(4, 4, 1, 1), seq(4, 4, 1, 1))
         with pytest.raises(NotGraphic):
             realize(seq(2, 1), seq(2, 2))
-
-    def test_audit_on_random_graphic_pairs(self):
-        from helpers import random_graphic_pairs
-
-        for e, f in random_graphic_pairs(500, seed=5):
-            real = realize(e, f)
-            assert real.degree_audit()
-            assert len(real.edges) == e.total
 
     def test_handles_zero_degrees(self):
         real = realize(seq(1, 0), seq(1, 0))

@@ -140,7 +140,7 @@ class TestRecordContract:
             getattr(record, attribute)
         for clone in (copy.copy(record), copy.deepcopy(record),
                       *(pickle.loads(pickle.dumps(record, protocol))
-                        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1))):
+                        for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
             assert type(clone) is type(record) and repr(clone) == repr(record)
             if name != "BipartiteRealization":
                 assert clone == record
@@ -204,6 +204,9 @@ class TestClassParamsValidation:
         ((1, 1, 1, 1, MAX_INPUT + 1, MAX_INPUT + 1, MAX_INPUT + 1), LimitExceeded,
          f"parameters must not exceed {MAX_INPUT}"),
         ((4, 1, 4, 1, 4, 4, 10**9), LimitExceeded, f"parameters must not exceed {MAX_INPUT}"),
+        ((2, 1, 3, 4, 4, 4, 8), InvalidParams, "requires c >= d"),
+        ((1, 1, 5, 1, 4, 5, 4), InvalidParams, "requires m >= c"),
+        ((2, -1, 2, 1, 3, 3, 4), InvalidParams, "requires b >= 0"),
     ])
     def test_refusals(self, args, error, message):
         with pytest.raises(error) as raised:
@@ -237,6 +240,11 @@ class TestRecordsAreTuples:
         assert rebuild(*args) == make("ClassParams")
         with pytest.raises(LimitExceeded):
             rebuild(*args[:-1], 10**9)
+        # Protocol 0 writes S as text, so an edited pickle must refuse too.
+        text = pickle.dumps(make("ClassParams"), 0)
+        assert b"I10\n" in text
+        with pytest.raises(LimitExceeded):
+            pickle.loads(text.replace(b"I10\n", b"I1000000000\n"))
 
 
 class TestClassParamsReprInMessages:

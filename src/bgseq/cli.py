@@ -5,10 +5,9 @@ command: 0 graphic / all-graphic / condition holds, 1 the mathematical
 negative, 2 invalid input (the message names the violated hypothesis),
 3 internal criterion/oracle disagreement, 4 vacuous (empty class).
 
-numpy is imported where arrays are built: in the sequence parser, the JSON
-writer of a pair's entries, and, on first use, ``gale_ryser``, ``realize``
-and ``brute_force_all_graphic``.  The class commands without ``--verify``
-never load it.
+numpy is imported where arrays are built: in the sequence parser and, on
+first use, ``gale_ryser``, ``realize`` and ``brute_force_all_graphic``.  The
+class commands without ``--verify`` never load it.
 """
 
 from __future__ import annotations
@@ -220,30 +219,10 @@ class _Raw(tuple):
 
 def _json_runs(blocks: BlockForm) -> _Raw:
     """A sequence given by its runs as a JSON array, one string repetition
-    per run."""
+    per run: O(n) bytes for n entries plus one Python step per run.  A
+    decreasing sequence with sum T has at most floor(sqrt(2T)) + 1 runs."""
     *head, (v, c) = blocks.blocks
     return _Raw(("[", *(f"{w}," * k for w, k in head), f"{v}," * (c - 1), f"{v}]"))
-
-
-def _json_ints(values: np.ndarray) -> _Raw:
-    """A nonempty array of entries in [0, MAX_INPUT] as a JSON array.  The
-    text is laid out in numpy as one row of bytes per entry: its digits
-    right-aligned, NUL for each leading zero, then a comma (the last row's
-    is the closing bracket); one ``bytes.translate`` drops the NULs.  That
-    is O(n·w) numpy steps for n entries of at most w digits, about 0.2 ms
-    for 8,000 entries."""
-    import numpy as np
-
-    rest = values.astype(np.uint32)  # exact: entries are at most MAX_INPUT
-    width = len(str(rest.max()))
-    cells = np.empty((rest.size, width + 1), dtype=np.uint8)
-    cells[:, width] = ord(",")
-    cells[-1, width] = ord("]")
-    cells[:, width - 1] = rest % 10 + ord("0")
-    for col in range(width - 2, -1, -1):
-        rest //= 10
-        cells[:, col] = np.where(rest, rest % 10 + ord("0"), 0)
-    return _Raw(("[", cells.tobytes().translate(None, b"\0").decode("ascii")))
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -332,8 +311,8 @@ def _verdict_line(verdict) -> str:
 
 def _pair_object(e: DegreeSequence, f: DegreeSequence, verdict) -> dict:
     obj = {
-        "left": _json_ints(e.values),
-        "right": _json_ints(f.values),
+        "left": _json_runs(to_blocks(e)),
+        "right": _json_runs(to_blocks(f)),
         "graphic": verdict.graphic,
         "sums_equal": verdict.sums_equal,
     }

@@ -24,6 +24,7 @@ from .seqcore import (
     ClassParams,
     DegreeSequence,
     LimitExceeded,
+    _check_side_args,
     _side_nonempty,
     class_nonempty,
 )
@@ -190,6 +191,7 @@ def canonical_sequence(high: int, low: int, length: int, total: int) -> DegreeSe
             f"no decreasing length-{length} sequence with max {high}, "
             f"min {low}, sum {total}"
         )
+    high, low, length, total = _check_side_args(high, low, length, total)
     return _canonical_blocks(high, low, length, *_split(high, low, length, total)).expand()
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .galeryser import gale_ryser, zz_check
-from .seqcore import MAX_INPUT, ClassParams, DegreeSequence, LimitExceeded, OracleBudgetExceeded
+from .seqcore import ClassParams, DegreeSequence, LimitExceeded, OracleBudgetExceeded, _check_side_args
 
 __all__ = [
     "OracleBudgetExceeded",
@@ -64,19 +64,6 @@ class ClassWitness(NamedTuple):
 
     verdict: OracleVerdict
     witness: WitnessPair | None = None
-
-
-def _check_side_args(A: int, B: int, L: int, S: int) -> tuple[int, int, int, int]:
-    A, B, L, S = (operator.index(v) for v in (A, B, L, S))
-    if B < 0:
-        raise ValueError("requires B >= 0")
-    if A < B:
-        raise ValueError("requires A >= B")
-    if L < 1:
-        raise ValueError("requires L >= 1")
-    if max(A, L, S if S > 0 else 0) > MAX_INPUT:
-        raise LimitExceeded(f"arguments must not exceed {MAX_INPUT}")
-    return A, B, L, S
 
 
 def _walk(A: int, B: int, L: int, S: int) -> Iterator[tuple[int, ...]]:

@@ -146,13 +146,13 @@ def validate_sequence(raw: Iterable[int], strict: bool = True) -> ValidatedSeque
 
     Strict mode rejects input that is not already sorted decreasingly; the
     lenient mode sorts it and reports that it did so via ``was_sorted``.
-    An int64 array is checked as it is in O(n) numpy steps (``np.sort`` when
-    sorting); any other iterable first takes one ``operator.index`` per entry.
+    A 1-D int64 array is checked as it is in O(n) numpy steps (``np.sort``
+    when sorting); anything else first takes one ``operator.index`` an entry.
     """
     import numpy as np
 
     arr = raw
-    if not isinstance(arr, np.ndarray) or arr.dtype != np.int64:
+    if not isinstance(arr, np.ndarray) or arr.dtype != np.int64 or arr.ndim != 1:
         try:
             arr = np.array([operator.index(v) for v in raw], dtype=np.int64)
         except OverflowError:
@@ -269,6 +269,21 @@ def _check_shape(a: int, b: int, c: int, d: int, m: int, n: int, S: int = 0) -> 
         raise InvalidParams("requires n >= a")
     if m < c:
         raise InvalidParams("requires m >= c")
+
+
+def _check_side_args(A: int, B: int, L: int, S: int) -> tuple[int, int, int, int]:
+    # One side's max A, min B, length L and sum S as ints, or the first
+    # hypothesis they break: checked before anything L long is built.
+    A, B, L, S = (operator.index(v) for v in (A, B, L, S))
+    if B < 0:
+        raise ValueError("requires B >= 0")
+    if A < B:
+        raise ValueError("requires A >= B")
+    if L < 1:
+        raise ValueError("requires L >= 1")
+    if max(A, L, S if S > 0 else 0) > MAX_INPUT:
+        raise LimitExceeded(f"arguments must not exceed {MAX_INPUT}")
+    return A, B, L, S
 
 
 def _side_nonempty(length: int, high: int, low: int, total: int) -> bool:

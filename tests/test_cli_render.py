@@ -25,7 +25,7 @@ from bgseq import (
     theorem_main,
     to_blocks,
 )
-from bgseq.cli import _json_ints, format_runs, main, parse_sequence_arg
+from bgseq.cli import _json_runs, format_runs, main, parse_sequence_arg
 from helpers import (
     batch_boundary_pairs,
     random_decreasing,
@@ -169,10 +169,12 @@ class TestEdgeRendering:
             assert out == expected
 
 
-class TestJsonInts:
+class TestJsonRuns:
     def test_matches_json_dumps(self):
         rng = np.random.default_rng(21)
         arrays = [np.array([v]) for v in (0, 7, 10, MAX_INPUT)] + [np.zeros(9, dtype=np.int64)]
+        # One run per entry, and one run of MAX_INPUT entries.
+        arrays += [np.arange(8_000, 0, -1), np.full(MAX_INPUT, 1)]
         for width in range(1, 8):
             low, high = 10 ** (width - 1), min(10**width - 1, MAX_INPUT)
             values = np.append(rng.integers(0, high + 1, size=300), [low, high])
@@ -181,7 +183,8 @@ class TestJsonInts:
             values = rng.integers(0, MAX_INPUT + 1, size=int(rng.integers(1, 400)))
             arrays.append(np.sort(values)[::-1])
         for values in arrays:
-            assert "".join(_json_ints(values)) == json.dumps(values.tolist(), separators=(",", ":"))
+            text = "".join(_json_runs(to_blocks(DegreeSequence(values))))
+            assert text == json.dumps(values.tolist(), separators=(",", ":"))
 
 
 class TestFormatRuns:

@@ -24,6 +24,7 @@ from bgseq import (
     class_nonempty,
     decompose,
     dominates_prefix,
+    enum_sequences,
     gale_ryser,
     s_range,
     smooth_step,
@@ -300,6 +301,24 @@ class TestCanonicalSequence:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateClass):
             canonical_sequence(2, 2, 3, 6)
+
+    @pytest.mark.parametrize("args,error,message", [
+        ((3, -1, 4, 5), ValueError, "requires B >= 0"),
+        ((3, 1, MAX_INPUT + 1, MAX_INPUT + 3), LimitExceeded, f"arguments must not exceed {MAX_INPUT}"),
+    ], ids=["negative-min", "length-past-bound"])
+    def test_side_arguments_refused(self, args, error, message):
+        # Nonempty shapes whose arguments enum_sequences refuses alike; the
+        # length is checked before anything that long is built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=f"^{message}$"):
+                canonical_sequence(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        with pytest.raises(error, match=f"^{message}$"):
+            next(enum_sequences(*args))
 
 
 class TestSymmetricSufficient:

@@ -73,6 +73,13 @@ class TestValidateSequence:
         with pytest.raises(NegativeEntry):
             validate_sequence([3, -1])
 
+    @pytest.mark.parametrize("entries", [[[3, 2], [1, 0]], [[3], [2]], 3], ids=["2-D", "column", "0-D"])
+    def test_array_of_other_shape_refused(self, entries):
+        # Refused as an array of any other dtype is, not read as a sequence.
+        for dtype in (np.int64, np.int32):
+            with pytest.raises(TypeError):
+                DegreeSequence(np.array(entries, dtype=dtype))
+
     def test_limit_enforced(self):
         with pytest.raises(LimitExceeded):
             DegreeSequence([MAX_INPUT + 1])
@@ -194,20 +201,18 @@ class TestSequenceInputPath:
                 tracemalloc.stop()
             assert peak < 2**20, item
 
-    def test_long_text_that_is_not_plain(self):
+    @pytest.mark.parametrize("item,tail,mib,message", [
+        (" 1000,", " 1000", 32, f"LimitExceeded: sequence length {MAX_INPUT + 1} exceeds {MAX_INPUT}"),
+        ("1,", "x", 12, f"ValueError: cannot parse sequence item 'x' (item {MAX_INPUT + 1})"),
+    ], ids=["long", "bad-item"])
+    def test_long_text_that_is_not_plain(self, item, tail, mib, message):
         # Items past MAX_INPUT entries are parsed but not kept, and the
         # message names the bad item by its position, not by quoting the text.
-        cases = [
-            ((" 1000,", MAX_INPUT, " 1000"),
-             f"LimitExceeded: sequence length {MAX_INPUT + 1} exceeds {MAX_INPUT}"),
-            (("1,", MAX_INPUT, "x"),
-             f"ValueError: cannot parse sequence item 'x' (item {MAX_INPUT + 1})"),
-        ]
-        for (item, count, tail), message in cases:
-            refusal, growth = parse_in_fresh_process(MAX_INPUT, item, count, tail)
-            assert refusal == message
-            assert len(message.encode()) < 100
-            assert growth < 32 * 2**20, message
+        # Each bound sits below what keeping every item would grow by.
+        refusal, growth = parse_in_fresh_process(MAX_INPUT, item, MAX_INPUT, tail)
+        assert refusal == message
+        assert len(message.encode()) < 100
+        assert growth < mib * 2**20
 
     def test_items_past_the_bound_are_not_kept(self):
         # With the bound lowered to 10^4, 3 * 10^5 items would keep about

@@ -99,27 +99,65 @@ def _bound(name: str):
 def parse_sequence_arg(text: str) -> np.ndarray:
     """Parse a comma-separated sequence with optional value^count runs,
     e.g. '4^2,1^2' for 4,4,1,1, into an int64 array.  Values and counts are
-    what ``int()`` accepts, and a count is at least 1.  Plain text (ASCII
-    digits and commas, every item 1 to 18 digits) costs a few numpy steps
-    to recognise and one ``np.fromstring`` to read, about 0.3 ms for 8,000
-    entries (32 KB), and its length is bounded by MAX_INPUT before anything
-    sized by it is built.  Any other text takes one ``int()`` per item, keeps
-    no more than MAX_INPUT entries' worth of items, and bounds a run by
-    MAX_INPUT before it is expanded; a bad item is named with its position."""
+    what ``int()`` accepts, and a count is at least 1.  The text is read in
+    one pass, piece by piece (see _pieces).  A plain piece (ASCII digits and
+    commas, every item 1 to 18 digits) is counted by a few numpy steps and
+    kept as its bounds; any other piece takes one ``int()`` per item, keeps
+    no more than MAX_INPUT entries' worth of items, bounds a run by MAX_INPUT
+    before it is expanded and names a bad item with its position.  The
+    length is bounded by MAX_INPUT before anything sized by it is built.
+    Plain text is then one ``np.fromstring`` (about 0.3 ms for 8,000 entries);
+    other text fills one array piece by piece, a plain piece by one."""
     import numpy as np
 
-    length = _plain_length(text)
-    if length is None:
-        return _parse_items(text)
+    parts, length, wide = [], 0, False
+    for start, stop in _pieces(text):
+        count = _plain_count(text[start:stop])
+        if count is not None:
+            parts.append(slice(start, stop))
+            length += count
+            continue
+        items = text[start:stop].split(",")
+        values, counts = [], []
+        for item in items:
+            head, mark, tail = item.partition("^")
+            try:
+                value, count = int(head), int(tail) if mark else 1
+                if count < 1:
+                    raise ValueError
+            except ValueError:
+                # Items equal to this one fail alike, so the first is this one.
+                index = text.count(",", 0, start) + items.index(item) + 1
+                raise ValueError(f"cannot parse sequence item {item.strip()!r} (item {index})") from None
+            if mark and length + count > MAX_INPUT:
+                raise LimitExceeded(f"sequence length {length + count} exceeds {MAX_INPUT}")
+            length += count
+            if length <= MAX_INPUT:
+                values.append(value)
+                counts.append(count)
+            elif not -(1 << 63) <= value < 1 << 63:
+                wide = True
+        try:
+            parts.append(np.repeat(np.array(values, dtype=np.int64), counts))
+        except OverflowError:
+            wide = True
+    if wide:
+        raise LimitExceeded(f"entries must not exceed the supported bound {MAX_INPUT}")
     if length > MAX_INPUT:
         raise LimitExceeded(f"sequence length {length} exceeds {MAX_INPUT}")
-    # The gate is what makes this exact: np.fromstring saturates numbers
-    # beyond int64 and skips an empty item, where int() refuses both.
-    return np.fromstring(text, dtype=np.int64, sep=",")
+    if all(isinstance(part, slice) for part in parts):
+        return np.fromstring(text, dtype=np.int64, sep=",")
+    entries, at = np.empty(length, dtype=np.int64), 0
+    for part in parts:
+        if isinstance(part, slice):
+            part = np.fromstring(text[part], dtype=np.int64, sep=",")
+        entries[at:at + part.size] = part
+        at += part.size
+    return entries
 
 
-# Characters of plain text the gate encodes at a time; a piece ends at a
-# comma, so each is whole items and the gate's memory stays under 0.5 MB.
+# Characters of text read at a time; a piece ends at a comma, so each is
+# whole items and the check of a plain piece stays under 0.5 MB.
 _PLAIN_PIECE = 1 << 15
 # Items of at most 18 digits stay below 2**63, where np.fromstring is exact.
 _PLAIN_DIGITS = 18
@@ -139,71 +177,23 @@ def _pieces(text: str) -> Iterator[tuple[int, int]]:
         start = cut + 1
 
 
-def _plain_length(text: str) -> int | None:
-    """The number of items of plain text (see parse_sequence_arg), or None
-    for any other text."""
+def _plain_count(piece: str) -> int | None:
+    """The number of items of a plain piece, or None for any other piece, of
+    which np.fromstring could skip an empty item or saturate a long one."""
     import numpy as np
 
-    if not text.isascii():
+    if len(piece) > _PLAIN_PIECE + _PLAIN_DIGITS or not piece.isascii():
+        return None  # a commaless stretch from _PLAIN_PIECE on is one long item
+    data = piece.encode("ascii")
+    if data.translate(None, b"0123456789,"):
         return None
-    length = 0
-    for start, stop in _pieces(text):
-        if stop - start > _PLAIN_PIECE + _PLAIN_DIGITS:
-            return None  # the commaless stretch from start + _PLAIN_PIECE is one long item
-        piece = text[start:stop].encode("ascii")
-        if piece.translate(None, b"0123456789,"):
-            return None
-        # Comma positions with one comma put at each end: an item is the
-        # gap between two of them less one.
-        commas = np.flatnonzero(np.frombuffer(b"," + piece + b",", dtype=np.uint8) == ord(","))
-        gaps = np.diff(commas)
-        if gaps.min() < 2 or gaps.max() > _PLAIN_DIGITS + 1:
-            return None
-        length += gaps.size
-    return length
-
-
-def _parse_items(text: str) -> np.ndarray:
-    # Item by item in input order, one piece of the text at a time: the
-    # first bad item is named by its position, and a run that would take the
-    # length above MAX_INPUT raises before it is expanded.  Items are kept
-    # only while the length is within MAX_INPUT, so nothing sized beyond the
-    # bound is built; later ones are still parsed, and an entry beyond int64
-    # among them is still refused as one.  A piece's items go to int64 at its end.
-    import numpy as np
-
-    runs, length, wide, done = [], 0, False, 0
-    for start, stop in _pieces(text):
-        items = text[start:stop].split(",")
-        values, counts = [], []
-        for item in items:
-            head, mark, tail = item.partition("^")
-            try:
-                value, count = int(head), int(tail) if mark else 1
-                if count < 1:
-                    raise ValueError
-            except ValueError:
-                # Items equal to this one fail alike, so the first is this one.
-                index = done + items.index(item) + 1
-                raise ValueError(f"cannot parse sequence item {item.strip()!r} (item {index})") from None
-            if mark and length + count > MAX_INPUT:
-                raise LimitExceeded(f"sequence length {length + count} exceeds {MAX_INPUT}")
-            length += count
-            if length <= MAX_INPUT:
-                values.append(value)
-                counts.append(count)
-            elif not -(1 << 63) <= value < 1 << 63:
-                wide = True
-        done += len(items)
-        try:
-            runs.append(np.repeat(np.array(values, dtype=np.int64), counts))
-        except OverflowError:
-            wide = True
-    if wide:
-        raise LimitExceeded(f"entries must not exceed the supported bound {MAX_INPUT}")
-    if length > MAX_INPUT:
-        raise LimitExceeded(f"sequence length {length} exceeds {MAX_INPUT}")
-    return np.concatenate(runs)
+    # Comma positions with one comma put at each end: an item is the gap
+    # between two of them less one.
+    commas = np.flatnonzero(np.frombuffer(b"," + data + b",", dtype=np.uint8) == ord(","))
+    gaps = np.diff(commas)
+    if gaps.min() < 2 or gaps.max() > _PLAIN_DIGITS + 1:
+        return None
+    return gaps.size
 
 
 def format_runs(seq: DegreeSequence | BlockForm) -> str:

@@ -69,7 +69,7 @@ class BadExtremes(ValueError):
 
 
 class HypothesisViolation(ValueError):
-    """The symmetric sufficient condition needs m >= a >= b >= 0."""
+    """The symmetric sufficient condition needs m >= a >= b >= 0 and m >= 1."""
 
 
 class Verdict(enum.Enum):
@@ -305,6 +305,8 @@ def symmetric_sufficient(a: int, b: int, m: int) -> bool:
         raise HypothesisViolation("requires a >= b")
     if m < a:
         raise HypothesisViolation("requires m >= a")
+    if m < 1:
+        raise HypothesisViolation("requires m >= 1")
     if m > MAX_INPUT:
         raise LimitExceeded(f"parameters must not exceed {MAX_INPUT}")
     return 4 * m * b >= (a + b) ** 2 - 1

@@ -276,11 +276,11 @@ def _check_side_args(A: int, B: int, L: int, S: int) -> tuple[int, int, int, int
     # hypothesis they break: checked before anything L long is built.
     A, B, L, S = (operator.index(v) for v in (A, B, L, S))
     if B < 0:
-        raise ValueError("requires B >= 0")
+        raise ValueError("requires min >= 0")
     if A < B:
-        raise ValueError("requires A >= B")
+        raise ValueError("requires max >= min")
     if L < 1:
-        raise ValueError("requires L >= 1")
+        raise ValueError("requires length >= 1")
     if max(A, L, S if S > 0 else 0) > MAX_INPUT:
         raise LimitExceeded(f"arguments must not exceed {MAX_INPUT}")
     return A, B, L, S

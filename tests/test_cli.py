@@ -229,6 +229,7 @@ EXACT_OUTPUT = [
         '{"a":4,"b":1,"m":4,"holds":false,"lhs":16,"rhs":24,"not_all_graphic_S":[9,10,11,12,13]}',
     ]),
     row(("symmetric", "-a", "0", "-b", "1", "-m", "3"), EXIT_INVALID, err="error: requires a >= b\n"),
+    row(("symmetric", "-a", "0", "-b", "0", "-m", "0"), EXIT_INVALID, err="error: requires m >= 1\n"),
     row(("symmetric", "-a", "99999999999", "-b", "5", "-m", "99999999999"), EXIT_INVALID,
         err="error: parameters must not exceed 1048576\n"),
     row(("symmetric", "-a", "1048576", "-b", "0", "-m", "1048576", "--full"), EXIT_INVALID,

@@ -303,7 +303,7 @@ class TestCanonicalSequence:
             canonical_sequence(2, 2, 3, 6)
 
     @pytest.mark.parametrize("args,error,message", [
-        ((3, -1, 4, 5), ValueError, "requires B >= 0"),
+        ((3, -1, 4, 5), ValueError, "requires min >= 0"),
         ((3, 1, MAX_INPUT + 1, MAX_INPUT + 3), LimitExceeded, f"arguments must not exceed {MAX_INPUT}"),
     ], ids=["negative-min", "length-past-bound"])
     def test_side_arguments_refused(self, args, error, message):
@@ -334,6 +334,8 @@ class TestSymmetricSufficient:
             symmetric_sufficient(5, 1, 4)
         with pytest.raises(HypothesisViolation):
             symmetric_sufficient(2, -1, 4)
+        with pytest.raises(HypothesisViolation, match="^requires m >= 1$"):
+            symmetric_sufficient(0, 0, 0)
 
     def test_limit(self):
         assert not symmetric_sufficient(MAX_INPUT, 0, MAX_INPUT)

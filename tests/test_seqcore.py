@@ -145,7 +145,8 @@ def both_paths(text, strict):
 
 # Parses item * count + tail in a fresh interpreter with MAX_INPUT set to
 # bound, after numpy is loaded and one short text is parsed, and prints the
-# refusal and how far the parse raised VmHWM, the peak resident set, in KiB.
+# refusal or the entries' count and sum, and how far the parse raised VmHWM,
+# the peak resident set, in KiB.
 PARSE_GROWTH = """
 import sys
 import bgseq.cli as cli
@@ -160,7 +161,8 @@ cli.parse_sequence_arg(" 1,2^2")
 text = item * int(count) + tail
 before = peak_kib()
 try:
-    cli.parse_sequence_arg(text)
+    entries = cli.parse_sequence_arg(text)
+    print(f"{entries.size} entries summing to {entries.sum()}")
 except ValueError as exc:
     print(f"{type(exc).__name__}: {exc}")
 print(peak_kib() - before)
@@ -168,7 +170,8 @@ print(peak_kib() - before)
 
 
 def parse_in_fresh_process(bound, item, count, tail):
-    """(the refusal as 'Class: message', the parse's peak growth in bytes)."""
+    """(the refusal as 'Class: message', or the entries' count and sum, and
+    the parse's peak growth in bytes)."""
     proc = subprocess.run([sys.executable, "-c", PARSE_GROWTH, str(bound), item, str(count), tail],
                           capture_output=True, text=True, timeout=60, check=True)
     refusal, growth = proc.stdout.splitlines()
@@ -204,15 +207,25 @@ class TestSequenceInputPath:
     @pytest.mark.parametrize("item,tail,mib,message", [
         (" 1000,", " 1000", 32, f"LimitExceeded: sequence length {MAX_INPUT + 1} exceeds {MAX_INPUT}"),
         ("1,", "x", 12, f"ValueError: cannot parse sequence item 'x' (item {MAX_INPUT + 1})"),
-    ], ids=["long", "bad-item"])
+        (" 1,", "x", 12, f"ValueError: cannot parse sequence item 'x' (item {MAX_INPUT + 1})"),
+    ], ids=["long", "bad-item", "bad-item-not-plain"])
     def test_long_text_that_is_not_plain(self, item, tail, mib, message):
         # Items past MAX_INPUT entries are parsed but not kept, and the
         # message names the bad item by its position, not by quoting the text.
-        # Each bound sits below what keeping every item would grow by.
+        # Only the last piece of the [bad-item] text is read item by item;
+        # every piece of the other two is, and their bounds sit below what
+        # keeping every item as a Python int until the end would grow by.
         refusal, growth = parse_in_fresh_process(MAX_INPUT, item, MAX_INPUT, tail)
         assert refusal == message
         assert len(message.encode()) < 100
         assert growth < mib * 2**20
+
+    def test_plain_text_ending_in_one_run(self):
+        # Only the last piece goes through int(); the plain ones before it are
+        # counted, then read one at a time into the array of entries.
+        result, growth = parse_in_fresh_process(MAX_INPUT, "1000,", MAX_INPUT - 1, "2^1")
+        assert result == f"{MAX_INPUT} entries summing to {1000 * (MAX_INPUT - 1) + 2}"
+        assert growth < 8 * 2**20
 
     def test_items_past_the_bound_are_not_kept(self):
         # With the bound lowered to 10^4, 3 * 10^5 items would keep about
@@ -233,8 +246,8 @@ class TestSequenceInputPath:
 
     @pytest.mark.parametrize("bad", ["x", "", "1" * 19, " 3", "+3", "3^2", "-1", "1.0"])
     def test_long_plain_text_ending_in_one_bad_item(self, bad):
-        # Every item before the last one is plain, so the gate reads the
-        # whole text before it sends it item by item.
+        # The text is one piece, and every item of it but the last is plain:
+        # the last one sends the whole piece through int().
         want, got = both_paths(",".join(["5"] * 10_000 + [bad]), strict=False)
         assert got == want
 
@@ -246,8 +259,14 @@ class TestSequenceInputPath:
         "1," * _PLAIN_PIECE,
         "1," * (_PLAIN_PIECE // 2 + 9) + ",1",
         "0" * (_PLAIN_PIECE + 3) + "1",
+        "1," * 40_000 + "x",
+        "5," * _PLAIN_PIECE + "4^3,1",
+        " 1," + "1," * _PLAIN_PIECE + "1",
     ])
     def test_text_longer_than_one_gate_piece(self, text):
+        # Plain pieces and others in any order: a bad item two plain pieces in
+        # is item 40,001, a run follows plain pieces, plain pieces follow one
+        # read item by item.
         want, got = both_paths(text, strict=False)
         assert got == want
 

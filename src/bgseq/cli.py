@@ -7,7 +7,8 @@ negative, 2 invalid input (the message names the violated hypothesis),
 
 numpy is imported where arrays are built: in the sequence parser and, on
 first use, ``gale_ryser``, ``realize`` and ``brute_force_all_graphic``.  The
-class commands without ``--verify`` never load it.
+class commands without ``--verify`` never load it.  JSON answers are written
+by ``_dump``, except a ``check-class`` answer: one format per verdict shape.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import json
 import sys
 from typing import TYPE_CHECKING, Iterator
 
-from . import criterion
 from .criterion import (
-    CanonicalDecomposition,
+    Branch,
     CriterionReport,
     EmptyClass,
     Verdict,
+    _pair_from,
     decompose,
     symmetric_sufficient,
     theorem_main,
@@ -219,7 +220,8 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def _dump(obj: dict) -> None:
-    """The one JSON codec: compact separators, one answer a line on stdout.
+    """The JSON writer of pair, canonical, symmetric and sweep answers:
+    compact separators, one answer a line on stdout.
     Each stretch of plain values between ``_Raw`` ones is one encoder call,
     and the pieces are written once, piece by piece, after the last is made:
     no output-sized list of Python ints or joined string is built, and an
@@ -240,27 +242,36 @@ def _dump(obj: dict) -> None:
     sys.stdout.writelines(parts)
 
 
+# check-class --json up to min_term_argument, one format per verdict shape (by
+# branch), then the oracle's members.  The string members are fixed names, the
+# Verdict and Branch values and MIN_TERM_NAMES, that JSON writes unescaped.
+_PARAMS_JSON = '{"a":%d,"b":%d,"c":%d,"d":%d,"m":%d,"n":%d,"S":%d,'
+_CLASS_JSON = {
+    None: _PARAMS_JSON + '"nonempty":false,"verdict":"%s"',
+    Branch.DEGENERATE_EQUAL_EXTREMES:
+        _PARAMS_JSON + '"nonempty":true,"verdict":"%s","branch":"degenerate-equal-extremes"',
+    Branch.GENERAL_INEQUALITY:
+        _PARAMS_JSON + '"nonempty":true,"verdict":"%s","branch":"general-inequality",'
+        '"r":%d,"s":%d,"p":%d,"q":%d,"lhs":%d,"rhs":%d,"min_term":%d,"min_term_argument":"%s"',
+}
+_ORACLE_JSON = ',"oracle_verdict":"%s","oracle_agrees":%s'
+
+_DECOMPOSITION_LINE = "decomposition: r=%d s=%d p=%d q=%d"
+
 SWEEP_FIELDS = ("a", "b", "c", "d", "m", "n", "S", "nonempty", "r", "s", "p", "q", "lhs", "rhs", "verdict")
 
 
-def _decomposition_fields(dec: CanonicalDecomposition | None) -> dict:
-    return dict(zip("rspq", dec)) if dec is not None else dict.fromkeys("rspq")
-
-
-def _decomposition_line(fields: dict) -> str:
-    return "decomposition: " + " ".join(f"{name}={fields[name]}" for name in "rspq")
-
-
 def _class_fields(params: ClassParams, report: CriterionReport) -> dict:
-    """Every field of a class answer, in ``check-class --json`` key order;
-    a field the answer does not carry (the branch of a vacuous class, the
+    """Every field of a sweep row, in ``check-class --json`` key order; a
+    field the row does not carry (the branch of a vacuous class, the
     decomposition and inequality off the general branch) is None."""
+    dec = report.decomposition
     return {
-        **params._asdict(),
+        **dict(zip(SWEEP_FIELDS, params)),
         "nonempty": report.verdict is not Verdict.VACUOUS,
         "verdict": report.verdict.value,
         "branch": report.branch.value if report.branch is not None else None,
-        **_decomposition_fields(report.decomposition),
+        **(dict.fromkeys("rspq") if dec is None else dict(zip("rspq", dec))),
         "lhs": report.lhs,
         "rhs": report.rhs,
         "min_term": report.min_term,
@@ -382,22 +393,22 @@ def cmd_check_class(args) -> int:
     if args.verify:
         witness, agrees = _run_oracle(params, report, args.budget)
     # Only the general branch prints the canonical pair, and only it builds one.
-    pair = criterion.canonical_pair(params) if report.decomposition is not None else None
-    fields = _class_fields(params, report)
+    dec = report.decomposition
+    pair = _pair_from(params, dec) if dec is not None else None
 
     if args.json:
-        if pair is not None:
-            fields.update(E=_json_runs(pair.E_blocks), F=_json_runs(pair.F_blocks))
+        if pair is None:
+            parts = [_CLASS_JSON[report.branch] % (*params, report.verdict.value)]
+        else:
+            parts = [_CLASS_JSON[report.branch] % (*params, report.verdict.value, *dec, *report[2:6]),
+                     ',"E":', *_json_runs(pair.E_blocks), ',"F":', *_json_runs(pair.F_blocks)]
         if witness is not None:
-            w = witness.witness
-            fields.update(
-                oracle_verdict=witness.verdict.value,
-                oracle_agrees=agrees,
-                witness=None if w is None else {
-                    "left": list(w.left), "right": list(w.right), "failing_k": w.failing_k,
-                },
-            )
-        _dump({name: value for name, value in fields.items() if value is not None})
+            parts.append(_ORACLE_JSON % (witness.verdict.value, "true" if agrees else "false"))
+            if (w := witness.witness) is not None:
+                parts += (',"witness":', _ENCODER.encode(
+                    {"left": list(w.left), "right": list(w.right), "failing_k": w.failing_k}))
+        parts.append("}\n")
+        sys.stdout.writelines(parts)
     else:
         print(f"class P(a={params.a}, b={params.b}, c={params.c}, d={params.d}, "
               f"m={params.m}, n={params.n}, S={params.S})")
@@ -405,7 +416,7 @@ def cmd_check_class(args) -> int:
         if report.branch is not None:
             print(f"branch: {report.branch.value}")
         if pair is not None:
-            print(_decomposition_line(fields))
+            print(_DECOMPOSITION_LINE % dec)
             print(
                 f"inequality: lhs = a*r + c*s = {report.lhs}; "
                 f"rhs = S + r*s + min_term = {report.rhs}; "
@@ -460,12 +471,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_canonical(args) -> int:
     params = _params_from_args(args)
-    fields = _decomposition_fields(decompose(params))
-    pair = criterion.canonical_pair(params)
+    dec = decompose(params)
+    pair = _pair_from(params, dec)
     if args.json:
-        _dump({**fields, "E": _json_runs(pair.E_blocks), "F": _json_runs(pair.F_blocks)})
+        _dump({**dec._asdict(), "E": _json_runs(pair.E_blocks), "F": _json_runs(pair.F_blocks)})
     else:
-        print(_decomposition_line(fields))
+        print(_DECOMPOSITION_LINE % dec)
         print(f"E = {format_runs(pair.E_blocks)}")
         print(f"F = {format_runs(pair.F_blocks)}")
     return EXIT_OK
@@ -539,11 +550,13 @@ class _CommandParser(argparse.ArgumentParser):
         command = self._commands.choices.get(args[0]) if args else None
         if command is None:
             return super().parse_known_args(args, namespace)
-        # As the subparsers action does: the command's parser fills a fresh
-        # namespace, which is copied over the caller's.
+        dest = self._commands.dest
+        if namespace is None:
+            return command.parse_known_args(args[1:], argparse.Namespace(**{dest: args[0]}))
+        # A caller's namespace is filled as the subparsers action fills it: the
+        # command's parser fills a fresh one, which is copied over the caller's.
         parsed, extras = command.parse_known_args(args[1:])
-        namespace = argparse.Namespace() if namespace is None else namespace
-        setattr(namespace, self._commands.dest, args[0])
+        setattr(namespace, dest, args[0])
         for key, value in vars(parsed).items():
             setattr(namespace, key, value)
         return namespace, extras

@@ -198,7 +198,11 @@ def canonical_sequence(high: int, low: int, length: int, total: int) -> DegreeSe
 def canonical_pair(params: ClassParams) -> CanonicalPair:
     """The extremal pair (E, F) of a nonempty class with a > b, c > d, as
     blocks built from its decomposition; O(1) until ``E`` or ``F`` is read."""
-    dec = decompose(params)
+    return _pair_from(params, decompose(params))
+
+
+def _pair_from(params: ClassParams, dec: CanonicalDecomposition) -> CanonicalPair:
+    # The canonical pair of a class whose decomposition is already known.
     return CanonicalPair(
         _canonical_blocks(params.a, params.b, params.m, dec.r, dec.q),
         _canonical_blocks(params.c, params.d, params.n, dec.s, dec.p),

@@ -230,8 +230,8 @@ def brute_force_all_graphic(params: ClassParams, budget: int | None = None) -> C
     limit = DEFAULT_ORACLE_BUDGET if budget is None else operator.index(budget)
     if limit < 0:
         raise ValueError("budget must be nonnegative")
-    left = _count_side(params.a, params.b, params.m, params.S, cap=limit)
-    right = _count_side(params.c, params.d, params.n, params.S, cap=limit)
+    left = _count_side(params.a, params.b, params.m, params.S, limit)
+    right = _count_side(params.c, params.d, params.n, params.S, limit)
     if left == 0 or right == 0:
         size = 0
     elif left is None or right is None:

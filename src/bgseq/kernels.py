@@ -67,22 +67,23 @@ def scan_pairs(prefix_l: np.ndarray, mask_l: np.ndarray, caps_r: np.ndarray,
     (-1, -1, -1, disagreements) when every pair passes.  Every
     ``spot_stride``-th pair, from pair 0 up to the first failure, is
     re-tested with the full dominance check (all k, not just strong indices);
-    ``disagreements`` counts verdict mismatches and must come back 0.
+    ``disagreements`` counts verdict mismatches and must come back 0.  Each
+    block holds two block-sized boolean arrays, the full compare and its
+    strong-index part, and its spot checks are strided rows of the first.
     """
     nl, width = prefix_l.shape
     nr = caps_r.shape[0]
     block = max(1, SCAN_BLOCK_CELLS // max(1, nr * width))
     disagreements = 0
     for lo in range(0, nl, block):
-        fail = caps_r[None, :, :] < prefix_l[lo : lo + block, None, :]
-        fail &= mask_l[lo : lo + block, None, :]
+        below = caps_r[None, :, :] < prefix_l[lo : lo + block, None, :]
+        fail = below & mask_l[lo : lo + block, None, :]
         has = fail.any(axis=2).ravel()
         hit = int(np.argmax(has)) if has.any() else -1
         if spot_stride > 0:
             stop = has.size if hit < 0 else hit + 1
-            spots = np.arange((-(lo * nr)) % spot_stride, stop, spot_stride)
-            rows, cols = np.divmod(spots, nr)
-            full = (caps_r[cols] < prefix_l[lo + rows]).any(axis=1)
+            spots = slice((-(lo * nr)) % spot_stride, stop, spot_stride)
+            full = below.reshape(-1, width)[spots].any(axis=1)
             disagreements += int(np.count_nonzero(full != has[spots]))
         if hit >= 0:
             bi, j = divmod(hit, nr)

@@ -17,6 +17,7 @@ import pytest
 
 import bgseq.kernels as kernels
 from bgseq import (
+    Branch,
     ClassParams,
     DegreeSequence,
     Verdict,
@@ -32,6 +33,7 @@ from bgseq import (
     zz_check,
 )
 from bgseq.cli import VERDICT_EXIT, main
+from bgseq.criterion import MIN_TERM_NAMES
 from bgseq.enumeration import OracleVerdict, _left_tables, _right_caps
 from helpers import (
     all_decreasing,
@@ -54,7 +56,8 @@ def run_cli(*argv):
 
 @pytest.fixture(scope="module")
 def grid_results():
-    """check-class --verify --json over the full grid, keyed by params."""
+    """check-class --verify --json over the full grid, keyed by params: each
+    answer parsed, its exit code and its raw line."""
     results = {}
     for params in grid_params(GRID_LIMIT):
         code, out = run_cli(
@@ -65,13 +68,13 @@ def grid_results():
             "-S", str(params.S),
             "--verify", "--json",
         )
-        results[params] = (json.loads(out), code)
+        results[params] = (json.loads(out), code, out)
     return results
 
 
 def test_01_theorem_equivalence_exhaustive(grid_results):
     checked = 0
-    for params, (obj, code) in grid_results.items():
+    for params, (obj, code, _) in grid_results.items():
         if not obj["nonempty"]:
             assert obj["verdict"] == "vacuous"
             assert obj["oracle_verdict"] == "empty"
@@ -90,7 +93,7 @@ def test_01_theorem_equivalence_exhaustive(grid_results):
 
 def test_02_canonical_pair_reduction(grid_results):
     checked = 0
-    for params, (obj, _) in grid_results.items():
+    for params, (obj, *_) in grid_results.items():
         if not obj["nonempty"] or params.a == params.b or params.c == params.d:
             continue
         pair = canonical_pair(params)
@@ -207,7 +210,7 @@ def test_07_realization_soundness():
 
 def test_08_cli_contract(grid_results):
     # Criterion/oracle disagreement (exit 3) never occurred across the grid.
-    codes = {code for _, code in grid_results.values()}
+    codes = {code for _, code, _ in grid_results.values()}
     assert 3 not in codes
     assert codes <= {0, 1, 4}
 
@@ -262,3 +265,42 @@ def test_09_zero_minimum_classes():
         codes[code] += 1
     assert codes == {0: 2132, 1: 3077, 4: 7236}
     print(f"ACCEPTANCE 9 zero-minimum classes: PASS ({sum(codes.values())} classes)")
+
+
+# check-class --json keys, in the order an answer writes them.
+CLASS_KEYS = (
+    "a", "b", "c", "d", "m", "n", "S", "nonempty", "verdict", "branch", "r", "s", "p", "q",
+    "lhs", "rhs", "min_term", "min_term_argument", "E", "F", "oracle_verdict", "oracle_agrees",
+    "witness",
+)
+EXPECTED_ORACLE = {
+    Verdict.ALL_GRAPHIC: OracleVerdict.ALL_GRAPHIC,
+    Verdict.NOT_ALL_GRAPHIC: OracleVerdict.FOUND_NON_GRAPHIC,
+    Verdict.VACUOUS: OracleVerdict.EMPTY,
+}
+
+
+def test_10_grid_answers_match_library(grid_results):
+    # The fixed names an answer carries as strings need no JSON escaping.
+    for name in (*(v.value for v in Verdict), *(b.value for b in Branch), *MIN_TERM_NAMES):
+        assert json.dumps(name) == f'"{name}"', name
+    for params, (obj, _, line) in grid_results.items():
+        assert line == json.dumps(obj, separators=(",", ":")) + "\n", params
+        report = theorem_main(params)
+        want = {**params._asdict(), "nonempty": report.verdict is not Verdict.VACUOUS,
+                "verdict": report.verdict.value}
+        if report.branch is not None:
+            want["branch"] = report.branch.value
+        if report.decomposition is not None:
+            pair = canonical_pair(params)
+            want.update(report.decomposition._asdict(), lhs=report.lhs, rhs=report.rhs,
+                        min_term=report.min_term, min_term_argument=report.min_term_argument,
+                        E=pair.E.values.tolist(), F=pair.F.values.tolist())
+        oracle = brute_force_all_graphic(params)
+        want.update(oracle_verdict=oracle.verdict.value,
+                    oracle_agrees=oracle.verdict is EXPECTED_ORACLE[report.verdict])
+        if (w := oracle.witness) is not None:
+            want["witness"] = {"left": w.left.values.tolist(), "right": w.right.values.tolist(),
+                               "failing_k": w.failing_k}
+        assert list(obj.items()) == [(key, want[key]) for key in CLASS_KEYS if key in want], params
+    print(f"ACCEPTANCE 10 grid answers match the library: PASS ({len(grid_results)} classes)")

@@ -454,17 +454,30 @@ class TestParseDispatch:
     parser; the result is what argparse's own top-level pass gives."""
 
     @staticmethod
-    def both_ways(argv):
+    def both_ways(argv, namespace=lambda: None):
+        # namespace() gives each parse its own namespace to fill, or None.
         with contextlib.redirect_stdout(io.StringIO()):
             main(["symmetric", "-a", "2", "-b", "1", "-m", "3"])  # main builds its parser once
         fresh = cli.build_parser()
-        return (_parse_outcome(cli._parser.parse_known_args, list(argv)),
-                _parse_outcome(lambda args: argparse.ArgumentParser.parse_known_args(fresh, args),
-                               list(argv)))
+        return (_parse_outcome(lambda args: cli._parser.parse_known_args(args, namespace()),
+                               list(argv)),
+                _parse_outcome(lambda args: argparse.ArgumentParser.parse_known_args(
+                    fresh, args, namespace()), list(argv)))
 
     @pytest.mark.parametrize("argv", _HOSTILE_ARGVS, ids=" ".join)
     def test_hostile_argv(self, argv):
         got, want = self.both_ways(argv)
+        assert got == want
+
+    @pytest.mark.parametrize("argv", [
+        ["check-class", *_CLASS, "--json"],
+        ["check-class", *_CLASS, "extra", "--more"],
+        ["check-class", *_CLASS, "--budget", "x"],
+    ], ids=" ".join)
+    def test_caller_namespace(self, argv):
+        # The command's values are copied over the caller's, as argparse's
+        # subparsers action copies them; the caller's own names stay.
+        got, want = self.both_ways(argv, lambda: argparse.Namespace(a=99, verify=True, own=1))
         assert got == want
 
     @settings(max_examples=400, deadline=None)

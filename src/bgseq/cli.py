@@ -7,15 +7,19 @@ negative, 2 invalid input (the message names the violated hypothesis),
 
 numpy is imported where arrays are built: in the sequence parser and, on
 first use, ``gale_ryser``, ``realize`` and ``brute_force_all_graphic``.  The
-class commands without ``--verify`` never load it.  JSON answers are written
-by ``_dump``, except a ``check-class`` answer: one format per verdict shape.
+class commands without ``--verify`` never load it.  An answer is written,
+once its verdict and any realization are complete, by one
+``sys.stdout.writelines`` over its pieces: each JSON object and CSV row from
+a fixed format for its shape, each sequence and edge list run by run.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
+import re
 import sys
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator
 
 from .criterion import (
@@ -100,26 +104,31 @@ def _bound(name: str):
 def parse_sequence_arg(text: str) -> np.ndarray:
     """Parse a comma-separated sequence with optional value^count runs,
     e.g. '4^2,1^2' for 4,4,1,1, into an int64 array.  Values and counts are
-    what ``int()`` accepts, and a count is at least 1.  The text is read in
-    one pass, piece by piece (see _pieces).  A plain piece (ASCII digits and
+    what ``int()`` accepts, and a count is at least 1.  The text is read
+    piece by piece (see _pieces).  A plain piece (ASCII digits and
     commas, every item 1 to 18 digits) is counted by a few numpy steps and
-    kept as its bounds; any other piece takes one ``int()`` per item, keeps
-    no more than MAX_INPUT entries' worth of items, bounds a run by MAX_INPUT
-    before it is expanded and names a bad item with its position.  The
-    length is bounded by MAX_INPUT before anything sized by it is built.
-    Plain text is then one ``np.fromstring`` (about 0.3 ms for 8,000 entries);
-    other text fills one array piece by piece, a plain piece by one."""
+    kept as its bounds; any other piece takes one ``int()`` per item, bounds
+    a run by MAX_INPUT before it is expanded and names a bad item with its
+    position.  The length is bounded by MAX_INPUT before anything sized by
+    it is built.  Plain text is then one ``np.fromstring`` (about 0.3 ms for
+    8,000 entries).  Other text goes into one array of exactly its entries,
+    sized by a pass over its run counts (see _entries_size), a piece as it
+    is read and the plain pieces at the end: the peak is n entries plus one
+    piece's items."""
     import numpy as np
 
-    parts, length, wide = [], 0, False
+    plain, length, wide, entries = [], 0, False, None
     for start, stop in _pieces(text):
         count = _plain_count(text[start:stop])
         if count is not None:
-            parts.append(slice(start, stop))
+            plain.append((start, stop, slice(length, length + count)))
             length += count
             continue
+        if entries is None:
+            size = _entries_size(text)
+            entries = np.empty(size, dtype=np.int64)
         items = text[start:stop].split(",")
-        values, counts = [], []
+        at, values, counts = length, [], []
         for item in items:
             head, mark, tail = item.partition("^")
             try:
@@ -133,28 +142,54 @@ def parse_sequence_arg(text: str) -> np.ndarray:
             if mark and length + count > MAX_INPUT:
                 raise LimitExceeded(f"sequence length {length + count} exceeds {MAX_INPUT}")
             length += count
-            if length <= MAX_INPUT:
+            if length <= size:
                 values.append(value)
                 counts.append(count)
             elif not -(1 << 63) <= value < 1 << 63:
                 wide = True
+        # The piece's entries are the running sum of its steps from one value
+        # to the next, each put at its item's first entry: a few numpy passes
+        # over the piece, however its entries fall into runs.  int64 sums
+        # wrap, so each value comes back exactly.
+        counts = np.array(counts, dtype=np.int64)
+        filled = entries[at:at + counts.sum()]
+        filled.fill(0)
         try:
-            parts.append(np.repeat(np.array(values, dtype=np.int64), counts))
+            filled[counts.cumsum() - counts] = np.diff(np.array(values, dtype=np.int64), prepend=0)
         except OverflowError:
             wide = True
+        np.cumsum(filled, out=filled)
     if wide:
         raise LimitExceeded(f"entries must not exceed the supported bound {MAX_INPUT}")
     if length > MAX_INPUT:
         raise LimitExceeded(f"sequence length {length} exceeds {MAX_INPUT}")
-    if all(isinstance(part, slice) for part in parts):
+    if entries is None:
         return np.fromstring(text, dtype=np.int64, sep=",")
-    entries, at = np.empty(length, dtype=np.int64), 0
-    for part in parts:
-        if isinstance(part, slice):
-            part = np.fromstring(text[part], dtype=np.int64, sep=",")
-        entries[at:at + part.size] = part
-        at += part.size
+    for start, stop, where in plain:
+        entries[where] = np.fromstring(text[start:stop], dtype=np.int64, sep=",")
     return entries
+
+
+# A run's count: what follows the first ^ of an item, up to its comma.
+_RUN_COUNT = re.compile(r"\^([^,]*)")
+
+
+def _entries_size(text: str) -> int:
+    """The number of entries of the text, one per item and count - 1 more
+    per run, with one ``int()`` per run a piece at a time; 0 if that is more
+    than MAX_INPUT or a run count is not an int of at least 1.  Text that
+    parses has exactly this many entries.  Text given 0 is refused, by its
+    first bad item or by its length, and keeps no items on the way."""
+    length = text.count(",") + 1
+    try:
+        for start, stop in _pieces(text):
+            counts = list(map(int, _RUN_COUNT.findall(text, start, stop)))
+            if min(counts, default=1) < 1:
+                return 0
+            length += sum(counts) - len(counts)
+    except ValueError:
+        return 0
+    return length if length <= MAX_INPUT else 0
 
 
 # Characters of text read at a time; a piece ends at a comma, so each is
@@ -204,46 +239,31 @@ def format_runs(seq: DegreeSequence | BlockForm) -> str:
     return ",".join(str(v) if c == 1 else f"{v}^{c}" for v, c in blocks.blocks)
 
 
-class _Raw(tuple):
-    """A value already encoded as JSON, as pieces of text ``_dump`` writes."""
-
-
-def _json_runs(blocks: BlockForm) -> _Raw:
+def _json_runs(blocks: BlockForm) -> Iterator[str]:
     """A sequence given by its runs as a JSON array, one string repetition
-    per run: O(n) bytes for n entries plus one Python step per run.  A
-    decreasing sequence with sum T has at most floor(sqrt(2T)) + 1 runs."""
+    per run: O(n) bytes for n entries plus one Python step per run, one run
+    held at a time.  A decreasing sequence with sum T has at most
+    floor(sqrt(2T)) + 1 runs."""
     *head, (v, c) = blocks.blocks
-    return _Raw(("[", *(f"{w}," * k for w, k in head), f"{v}," * (c - 1), f"{v}]"))
+    yield "["
+    for w, k in head:
+        yield f"{w}," * k
+    yield f"{v}," * (c - 1)
+    yield f"{v}]"
 
 
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
+def _two_runs_json(first: str, left: BlockForm, second: str, right: BlockForm) -> Iterator[str]:
+    """Two sequence members of a JSON object: '"first":[...],"second":[...]'."""
+    yield f'"{first}":'
+    yield from _json_runs(left)
+    yield f',"{second}":'
+    yield from _json_runs(right)
 
 
-def _dump(obj: dict) -> None:
-    """The JSON writer of pair, canonical, symmetric and sweep answers:
-    compact separators, one answer a line on stdout.
-    Each stretch of plain values between ``_Raw`` ones is one encoder call,
-    and the pieces are written once, piece by piece, after the last is made:
-    no output-sized list of Python ints or joined string is built, and an
-    object with no ``_Raw`` value is a single encoder call."""
-    parts, plain = ["{"], {}
-    for key, value in obj.items():
-        if isinstance(value, _Raw):
-            if plain:
-                parts += (_ENCODER.encode(plain)[1:-1], ",")
-                plain = {}
-            parts += (_ENCODER.encode(key), ":", *value, ",")
-        else:
-            plain[key] = value
-    if plain:
-        parts.append(_ENCODER.encode(plain)[1:] + "\n")
-    else:
-        parts[-1] = "}\n"
-    sys.stdout.writelines(parts)
+_JSON_BOOL = ("false", "true")  # indexed by a bool
 
-
-# check-class --json up to min_term_argument, one format per verdict shape (by
-# branch), then the oracle's members.  The string members are fixed names, the
+# check-class --json up to E and F, one format per verdict shape (by branch),
+# then the oracle's members.  The string members are fixed names, the
 # Verdict and Branch values and MIN_TERM_NAMES, that JSON writes unescaped.
 _PARAMS_JSON = '{"a":%d,"b":%d,"c":%d,"d":%d,"m":%d,"n":%d,"S":%d,'
 _CLASS_JSON = {
@@ -252,39 +272,32 @@ _CLASS_JSON = {
         _PARAMS_JSON + '"nonempty":true,"verdict":"%s","branch":"degenerate-equal-extremes"',
     Branch.GENERAL_INEQUALITY:
         _PARAMS_JSON + '"nonempty":true,"verdict":"%s","branch":"general-inequality",'
-        '"r":%d,"s":%d,"p":%d,"q":%d,"lhs":%d,"rhs":%d,"min_term":%d,"min_term_argument":"%s"',
+        '"r":%d,"s":%d,"p":%d,"q":%d,"lhs":%d,"rhs":%d,"min_term":%d,"min_term_argument":"%s",',
 }
 _ORACLE_JSON = ',"oracle_verdict":"%s","oracle_agrees":%s'
 
-_DECOMPOSITION_LINE = "decomposition: r=%d s=%d p=%d q=%d"
+_DECOMPOSITION_LINE = "decomposition: r=%d s=%d p=%d q=%d\n"
 
 SWEEP_FIELDS = ("a", "b", "c", "d", "m", "n", "S", "nonempty", "r", "s", "p", "q", "lhs", "rhs", "verdict")
 
 
-def _class_fields(params: ClassParams, report: CriterionReport) -> dict:
-    """Every field of a sweep row, in ``check-class --json`` key order; a
-    field the row does not carry (the branch of a vacuous class, the
-    decomposition and inequality off the general branch) is None."""
-    dec = report.decomposition
-    return {
-        **dict(zip(SWEEP_FIELDS, params)),
-        "nonempty": report.verdict is not Verdict.VACUOUS,
-        "verdict": report.verdict.value,
-        "branch": report.branch.value if report.branch is not None else None,
-        **(dict.fromkeys("rspq") if dec is None else dict(zip("rspq", dec))),
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "min_term": report.min_term,
-        "min_term_argument": report.min_term_argument,
-    }
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+def _sweep_formats(family: tuple[int, ...], as_json: bool, verify: bool) -> dict:
+    """A sweep's row formats, one per verdict shape (by branch), each a CSV
+    row or JSON object of SWEEP_FIELDS in order: the six fixed parameters
+    written in, nonempty the shape's, S and the decomposition's numbers a %d
+    and the verdict a %s.  A shape without a decomposition leaves its fields
+    empty in CSV and out of JSON; --verify adds oracle_agrees at the end."""
+    formats = {}
+    for branch in (None, Branch.DEGENERATE_EQUAL_EXTREMES, Branch.GENERAL_INEQUALITY):
+        cells = dict.fromkeys(SWEEP_FIELDS, "%d") | dict(zip(SWEEP_FIELDS, map(str, family)))
+        cells.update(nonempty=_JSON_BOOL[branch is not None], verdict='"%s"' if as_json else "%s")
+        if branch is not Branch.GENERAL_INEQUALITY:
+            cells.update(dict.fromkeys(("r", "s", "p", "q", "lhs", "rhs")))
+        if verify:
+            cells["oracle_agrees"] = "%s"
+        formats[branch] = ("{%s}\n" % ",".join(f'"{k}":{v}' for k, v in cells.items() if v is not None)
+                           if as_json else ",".join(v or "" for v in cells.values()) + "\n")
+    return formats
 
 
 def _load_sequence(text: str, side: str, strict: bool) -> DegreeSequence:
@@ -302,26 +315,6 @@ def _load_pair(args):
     return e, f, _bound("gale_ryser")(e, f)
 
 
-def _verdict_line(verdict) -> str:
-    if verdict.graphic:
-        return "graphic"
-    if not verdict.sums_equal:
-        return "not graphic, sums differ"
-    return f"not graphic, failing k={verdict.failing_k}"
-
-
-def _pair_object(e: DegreeSequence, f: DegreeSequence, verdict) -> dict:
-    obj = {
-        "left": _json_runs(to_blocks(e)),
-        "right": _json_runs(to_blocks(f)),
-        "graphic": verdict.graphic,
-        "sums_equal": verdict.sums_equal,
-    }
-    if verdict.failing_k is not None:
-        obj["failing_k"] = verdict.failing_k
-    return obj
-
-
 def _edge_runs(real: BipartiteRealization) -> Iterator[tuple[int, list[str]]]:
     # Each run of right ends of one left vertex, with those ends as text: a
     # run's labels are one slice of a list of labels up to the largest right
@@ -333,16 +326,48 @@ def _edge_runs(real: BipartiteRealization) -> Iterator[tuple[int, list[str]]]:
         yield u, labels[lo:hi]
 
 
-def _edges_json(real: BipartiteRealization) -> _Raw:
-    parts = ["["]
+def _edges_text(real: BipartiteRealization) -> Iterator[str]:
+    """An edge list as 'u v' lines, one piece per run."""
     for u, cols in _edge_runs(real):
-        parts += (f"[{u},", f"],[{u},".join(cols), "],")
-    parts[-1] = "]]" if len(parts) > 1 else "[]"
-    return _Raw(parts)
+        yield f"{u} " + f"\n{u} ".join(cols) + "\n"
 
 
-def _print_edges(real: BipartiteRealization) -> None:
-    sys.stdout.writelines([f"{u} " + f"\n{u} ".join(cols) + "\n" for u, cols in _edge_runs(real)])
+def _edges_json(real: BipartiteRealization) -> Iterator[str]:
+    """An edge list as the JSON member '"edges":[[u,v],...]', one piece per run."""
+    yield '"edges":['
+    comma = ""
+    for u, cols in _edge_runs(real):
+        yield f"{comma}[{u}," + f"],[{u},".join(cols) + "]"
+        comma = ","
+    yield "]"
+
+
+def _pair_text(verdict, real: BipartiteRealization | None) -> Iterator[str]:
+    """check-pair's answer as text: the verdict line, then the edge list of
+    ``real`` unless that is None."""
+    if verdict.graphic:
+        yield "graphic\n"
+    elif not verdict.sums_equal:
+        yield "not graphic, sums differ\n"
+    else:
+        yield "not graphic, failing k=%d\n" % verdict.failing_k
+    if real is not None:
+        yield from _edges_text(real)
+
+
+def _pair_json(e: DegreeSequence, f: DegreeSequence, verdict,
+               real: BipartiteRealization | None) -> Iterator[str]:
+    """check-pair's answer as one JSON object: both sides, the verdict, then
+    the edge list of ``real`` unless that is None."""
+    yield "{"
+    yield from _two_runs_json("left", to_blocks(e), "right", to_blocks(f))
+    yield ',"graphic":%s,"sums_equal":%s' % (_JSON_BOOL[verdict.graphic], _JSON_BOOL[verdict.sums_equal])
+    if verdict.failing_k is not None:
+        yield ',"failing_k":%d' % verdict.failing_k
+    if real is not None:
+        yield ","
+        yield from _edges_json(real)
+    yield "}\n"
 
 
 def _params_from_args(args) -> ClassParams:
@@ -352,31 +377,18 @@ def _params_from_args(args) -> ClassParams:
 def cmd_check_pair(args) -> int:
     e, f, verdict = _load_pair(args)
     real = _bound("realize")(e, f) if verdict.graphic and args.realize else None
-    if args.json:
-        obj = _pair_object(e, f, verdict)
-        if real is not None:
-            obj["edges"] = _edges_json(real)
-        _dump(obj)
-    else:
-        print(_verdict_line(verdict))
-        if real is not None:
-            _print_edges(real)
+    sys.stdout.writelines(_pair_json(e, f, verdict, real) if args.json else _pair_text(verdict, real))
     return EXIT_OK if verdict.graphic else EXIT_NEGATIVE
 
 
 def cmd_realize(args) -> int:
     e, f, verdict = _load_pair(args)
     if not verdict.graphic:
-        if args.json:
-            _dump(_pair_object(e, f, verdict))
-        else:
-            print(_verdict_line(verdict))
+        # A pair that is not graphic gets check-pair's answer.
+        sys.stdout.writelines(_pair_json(e, f, verdict, None) if args.json else _pair_text(verdict, None))
         return EXIT_NEGATIVE
     real = _bound("realize")(e, f)
-    if args.json:
-        _dump({"edges": _edges_json(real)})
-    else:
-        _print_edges(real)
+    sys.stdout.writelines(chain(["{"], _edges_json(real), ["}\n"]) if args.json else _edges_text(real))
     return EXIT_OK
 
 
@@ -384,6 +396,41 @@ def _run_oracle(params: ClassParams, report, budget: int | None):
     witness = _bound("brute_force_all_graphic")(params, budget=budget)
     agrees = witness.verdict.value == _EXPECTED_ORACLE[report.verdict]
     return witness, agrees
+
+
+def _class_json(params: ClassParams, report: CriterionReport, pair, witness, agrees) -> Iterator[str]:
+    if pair is None:
+        yield _CLASS_JSON[report.branch] % (*params, report.verdict.value)
+    else:
+        yield _CLASS_JSON[report.branch] % (*params, report.verdict.value, *report.decomposition,
+                                            *report[2:6])
+        yield from _two_runs_json("E", pair.E_blocks, "F", pair.F_blocks)
+    if witness is not None:
+        yield _ORACLE_JSON % (witness.verdict.value, _JSON_BOOL[agrees])
+        if (w := witness.witness) is not None:
+            yield ',"witness":{'
+            yield from _two_runs_json("left", to_blocks(w.left), "right", to_blocks(w.right))
+            yield ',"failing_k":%d}' % w.failing_k
+    yield "}\n"
+
+
+def _class_text(params: ClassParams, report: CriterionReport, pair, witness, agrees) -> Iterator[str]:
+    yield "class P(a=%d, b=%d, c=%d, d=%d, m=%d, n=%d, S=%d)\n" % params
+    yield f"verdict: {report.verdict.value}\n"
+    if report.branch is not None:
+        yield f"branch: {report.branch.value}\n"
+    if pair is not None:
+        yield _DECOMPOSITION_LINE % report.decomposition
+        yield (f"inequality: lhs = a*r + c*s = {report.lhs}; "
+               f"rhs = S + r*s + min_term = {report.rhs}; "
+               f"min term '{report.min_term_argument}' = {report.min_term}\n")
+        yield f"canonical pair: E = {format_runs(pair.E_blocks)}  F = {format_runs(pair.F_blocks)}\n"
+    if witness is not None:
+        yield f"oracle: {witness.verdict.value} (agrees: {'yes' if agrees else 'NO'})"
+        if (w := witness.witness) is not None:
+            yield (f"; witness left={format_runs(w.left)} right={format_runs(w.right)} "
+                   f"failing k={w.failing_k}")
+        yield "\n"
 
 
 def cmd_check_class(args) -> int:
@@ -395,43 +442,8 @@ def cmd_check_class(args) -> int:
     # Only the general branch prints the canonical pair, and only it builds one.
     dec = report.decomposition
     pair = _pair_from(params, dec) if dec is not None else None
-
-    if args.json:
-        if pair is None:
-            parts = [_CLASS_JSON[report.branch] % (*params, report.verdict.value)]
-        else:
-            parts = [_CLASS_JSON[report.branch] % (*params, report.verdict.value, *dec, *report[2:6]),
-                     ',"E":', *_json_runs(pair.E_blocks), ',"F":', *_json_runs(pair.F_blocks)]
-        if witness is not None:
-            parts.append(_ORACLE_JSON % (witness.verdict.value, "true" if agrees else "false"))
-            if (w := witness.witness) is not None:
-                parts += (',"witness":', _ENCODER.encode(
-                    {"left": list(w.left), "right": list(w.right), "failing_k": w.failing_k}))
-        parts.append("}\n")
-        sys.stdout.writelines(parts)
-    else:
-        print(f"class P(a={params.a}, b={params.b}, c={params.c}, d={params.d}, "
-              f"m={params.m}, n={params.n}, S={params.S})")
-        print(f"verdict: {report.verdict.value}")
-        if report.branch is not None:
-            print(f"branch: {report.branch.value}")
-        if pair is not None:
-            print(_DECOMPOSITION_LINE % dec)
-            print(
-                f"inequality: lhs = a*r + c*s = {report.lhs}; "
-                f"rhs = S + r*s + min_term = {report.rhs}; "
-                f"min term '{report.min_term_argument}' = {report.min_term}"
-            )
-            print(f"canonical pair: E = {format_runs(pair.E_blocks)}  "
-                  f"F = {format_runs(pair.F_blocks)}")
-        if witness is not None:
-            line = f"oracle: {witness.verdict.value} (agrees: {'yes' if agrees else 'NO'})"
-            if witness.witness is not None:
-                w = witness.witness
-                line += (f"; witness left={format_runs(w.left)} "
-                         f"right={format_runs(w.right)} failing k={w.failing_k}")
-            print(line)
-
+    answer = (_class_json if args.json else _class_text)(params, report, pair, witness, agrees)
+    sys.stdout.writelines(answer)
     if witness is not None and not agrees:
         print(
             f"error: criterion verdict {report.verdict.value} disagrees with "
@@ -442,30 +454,28 @@ def cmd_check_class(args) -> int:
     return VERDICT_EXIT[report.verdict]
 
 
-def _sweep_row(params: ClassParams, verify: bool, budget: int | None) -> dict:
+def _sweep_row(formats: dict, params: ClassParams, verify: bool, budget: int | None) -> str:
     report = theorem_main(params)
-    row = _class_fields(params, report)
+    dec = report.decomposition
+    fields = (params.S, report.verdict.value) if dec is None else (
+        params.S, *dec, report.lhs, report.rhs, report.verdict.value)
     if verify:
-        row["oracle_agrees"] = _run_oracle(params, report, budget)[1]
-    return row
+        fields += (_JSON_BOOL[_run_oracle(params, report, budget)[1]],)
+    return formats[report.branch] % fields
 
 
 def cmd_sweep(args) -> int:
-    names = SWEEP_FIELDS + (("oracle_agrees",) if args.verify else ())
-    span = s_range(args.a, args.b, args.c, args.d, args.m, args.n)
-    rows = (_sweep_row(ClassParams(args.a, args.b, args.c, args.d, args.m, args.n, S),
-                       args.verify, args.budget) for S in span)
+    family = (args.a, args.b, args.c, args.d, args.m, args.n)
+    span = s_range(*family)
+    formats = _sweep_formats(family, args.format == "json", args.verify)
+    rows = (_sweep_row(formats, ClassParams(*family, S), args.verify, args.budget) for S in span)
     if args.verify:
-        # Every oracle run must succeed before the first line is printed, so
+        # Every oracle run must succeed before the first line is written, so
         # a class above the budget leaves stdout empty rather than truncated.
         rows = list(rows)
-    if args.format == "json":
-        for row in rows:
-            _dump({name: row[name] for name in names if row[name] is not None})
-    else:
-        print(",".join(names))
-        for row in rows:
-            print(",".join(_csv_cell(row[name]) for name in names))
+    if args.format == "csv":
+        rows = chain([",".join(SWEEP_FIELDS + ("oracle_agrees",) * args.verify) + "\n"], rows)
+    sys.stdout.writelines(rows)
     return EXIT_OK
 
 
@@ -474,36 +484,34 @@ def cmd_canonical(args) -> int:
     dec = decompose(params)
     pair = _pair_from(params, dec)
     if args.json:
-        _dump({**dec._asdict(), "E": _json_runs(pair.E_blocks), "F": _json_runs(pair.F_blocks)})
+        answer = chain(['{"r":%d,"s":%d,"p":%d,"q":%d,' % dec],
+                       _two_runs_json("E", pair.E_blocks, "F", pair.F_blocks), ["}\n"])
     else:
-        print(_DECOMPOSITION_LINE % dec)
-        print(f"E = {format_runs(pair.E_blocks)}")
-        print(f"F = {format_runs(pair.F_blocks)}")
+        answer = [_DECOMPOSITION_LINE % dec, f"E = {format_runs(pair.E_blocks)}\n",
+                  f"F = {format_runs(pair.F_blocks)}\n"]
+    sys.stdout.writelines(answer)
     return EXIT_OK
 
 
 def cmd_symmetric(args) -> int:
-    holds = symmetric_sufficient(args.a, args.b, args.m)
-    lhs, rhs = 4 * args.m * args.b, (args.a + args.b) ** 2 - 1
-    failures: list[int] = []
+    a, b, m = args.a, args.b, args.m
+    holds = symmetric_sufficient(a, b, m)
+    lhs, rhs = 4 * m * b, (a + b) ** 2 - 1
+    full = ()
     if args.full:
-        for S in s_range(args.a, args.b, args.a, args.b, args.m, args.m):
-            params = ClassParams(args.a, args.b, args.a, args.b, args.m, args.m, S)
-            if theorem_main(params).verdict is Verdict.NOT_ALL_GRAPHIC:
-                failures.append(S)
+        # Each sum at which the class is not all graphic is written as it is
+        # found, as ",S"; the first goes without its comma.
+        sums = (f",{S}" for S in s_range(a, b, a, b, m, m)
+                if theorem_main(ClassParams(a, b, a, b, m, m, S)).verdict is Verdict.NOT_ALL_GRAPHIC)
+        first = next(sums, ",")[1:]
+        full = (chain([',"not_all_graphic_S":[', first], sums, ["]"]) if args.json
+                else chain(["not-all-graphic S values: ", first or "none"], sums, ["\n"]))
     if args.json:
-        obj = {"a": args.a, "b": args.b, "m": args.m, "holds": holds, "lhs": lhs, "rhs": rhs}
-        if args.full:
-            obj["not_all_graphic_S"] = failures
-        _dump(obj)
+        sys.stdout.writelines(chain(['{"a":%d,"b":%d,"m":%d,"holds":%s,"lhs":%d,"rhs":%d'
+                                     % (a, b, m, _JSON_BOOL[holds], lhs, rhs)], full, ["}\n"]))
     else:
-        state = "holds" if holds else "fails"
-        print(f"condition 4*m*b >= (a+b)^2 - 1: {state} ({lhs} vs {rhs})")
-        if args.full:
-            if failures:
-                print("not-all-graphic S values: " + ",".join(map(str, failures)))
-            else:
-                print("not-all-graphic S values: none")
+        sys.stdout.writelines(chain(["condition 4*m*b >= (a+b)^2 - 1: %s (%d vs %d)\n"
+                                     % ("holds" if holds else "fails", lhs, rhs)], full))
     return EXIT_OK if holds else EXIT_NEGATIVE
 
 
@@ -633,7 +641,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout left before the whole answer was written.
+        # stdout goes to os.devnull, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the whole answer was written", file=sys.stderr)
+        code = EXIT_INVALID
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,16 @@ from bgseq import (
 )
 
 
+# Python source that defines peak_kib(): the peak resident set (VmHWM) of the
+# process that runs it, in KiB.  Scripts run in a fresh interpreter read it
+# before and after the call they measure.
+PEAK_KIB = """
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+"""
+
+
 def grid_params(limit: int = 6, min_floor: int = 1) -> Iterator[ClassParams]:
     """Every valid ClassParams with maxima and lengths up to `limit` and
     minima at least `min_floor`, over every compatible sum."""

@@ -4,6 +4,8 @@ import argparse
 import contextlib
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from bgseq.cli import (
     main,
     parse_sequence_arg,
 )
-from bgseq import Verdict
+from bgseq import ClassParams, Verdict, s_range, theorem_main
 from helpers import decode_sweep_csv
 
 
@@ -278,6 +280,79 @@ class TestSweep:
         csv_rows = [list(row.items()) for row in sweep_rows(csv_out)]
         json_rows = [list(json.loads(line).items()) for line in json_out.strip().splitlines()]
         assert csv_rows == json_rows
+
+
+def reference_sweep_line(params: ClassParams, fmt: str, verify: bool) -> str:
+    """A sweep row built from theorem_main's report: every SWEEP_FIELDS field
+    the row carries, then oracle_agrees (true) under --verify.  A field the
+    row does not carry (the decomposition and inequality off the general
+    branch) is an omitted key in JSON and an empty cell in CSV."""
+    report = theorem_main(params)
+    dec = report.decomposition or (None,) * 4
+    row = {**dict(zip(SWEEP_FIELDS, params)), "nonempty": report.verdict is not Verdict.VACUOUS,
+           **dict(zip("rspq", dec)), "lhs": report.lhs, "rhs": report.rhs,
+           "verdict": report.verdict.value}
+    if verify:
+        row["oracle_agrees"] = True
+    if fmt == "json":
+        return json.dumps({k: v for k, v in row.items() if v is not None}, separators=(",", ":"))
+    return ",".join("" if v is None else v if isinstance(v, str) else json.dumps(v) for v in row.values())
+
+
+@st.composite
+def sweep_families(draw):
+    """A sweep argv over a family with maxima up to 12, minima from 0, the
+    left one equal to its maximum half the time (so vacuous, degenerate and
+    general rows), lengths up to 64, either format, and --verify with a
+    --budget of at most 10^4 pairs half the time."""
+    a, c = draw(st.integers(0, 12)), draw(st.integers(1, 12))
+    b, d = draw(st.integers(0, a)), draw(st.integers(0, c))
+    if draw(st.booleans()):
+        b = a  # equal extremes: the degenerate branch where the class is nonempty
+    m, n = draw(st.integers(c, 64)), draw(st.integers(max(a, 1), 64))
+    family = (a, b, c, d, m, n)
+    fmt, verify = draw(st.sampled_from(("csv", "json"))), draw(st.booleans())
+    argv = ["sweep", *(token for flag, value in zip("abcdmn", family)
+                       for token in (f"-{flag}", str(value))), "--format", fmt]
+    if verify:
+        argv += ["--verify", "--budget", str(draw(st.integers(0, 10**4)))]
+    return family, fmt, verify, argv
+
+
+class TestSweepReference:
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_families())
+    def test_rows_match_reference(self, drawn):
+        family, fmt, verify, argv = drawn
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if verify and code == EXIT_INVALID:
+            # A class above the budget: no row is written.
+            assert out.getvalue() == "" and "above the oracle budget" in err.getvalue()
+            return
+        assert (code, err.getvalue()) == (EXIT_OK, "")
+        lines = [reference_sweep_line(ClassParams(*family, S), fmt, verify) for S in s_range(*family)]
+        if fmt == "csv":
+            lines.insert(0, ",".join(SWEEP_FIELDS + ("oracle_agrees",) * verify))
+        assert out.getvalue() == "".join(line + "\n" for line in lines)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["realize", "--left", "1024^2048", "--right", "2048^1024"],
+        ["sweep", "-a", "1000", "-b", "0", "-c", "1000", "-d", "0", "-m", "1000", "-n", "1000"],
+    ], ids=["realize", "sweep"])
+    def test_reader_leaving_after_one_line(self, argv):
+        # The reader closes the pipe after one line, mid-answer: one error
+        # line and the invalid-input code, no traceback.
+        proc = subprocess.Popen([sys.executable, "-m", "bgseq.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_INVALID
+        assert err == "error: stdout was closed before the whole answer was written\n"
 
 
 class TestArgumentErrors:

@@ -27,6 +27,7 @@ from bgseq import (
 )
 from bgseq.cli import _json_runs, format_runs, main, parse_sequence_arg
 from helpers import (
+    PEAK_KIB,
     batch_boundary_pairs,
     random_decreasing,
     reference_realize_edges,
@@ -76,11 +77,42 @@ def answer_peak(argv):
     return code, out, peak
 
 
+# Runs bgseq.cli.main on argv[1:] in a fresh interpreter, with stdout to
+# wherever the caller points it, after numpy is loaded and one small call
+# has run, and prints to stderr the exit code and how far the call raised
+# VmHWM, the peak resident set, in KiB.
+ANSWER_GROWTH = PEAK_KIB + """
+import sys
+from bgseq.cli import main
+
+main(["check-pair", "--left", "1", "--right", "1", "--realize", "--json"])
+before = peak_kib()
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(code, peak_kib() - before, file=sys.stderr)
+"""
+
+
 class TestAnswerPeakMemory:
-    """Each large answer is written once, piece by piece, and an edge list
-    from the runs of its realization: its peak stays within a bound set
-    between the answer's size and what one more copy of it, or the (|E|, 2)
-    edge array, took."""
+    """Each answer streams: its pieces are written as they are made, a
+    sequence and an edge list one run at a time, so an answer holds its runs
+    and one run's text, not its own size.  The traced peaks of the large
+    answers stay within bounds set below what one copy of the answer, or the
+    (|E|, 2) edge array, took; the resident growth of a 2^25-edge answer
+    stays flat."""
+
+    @pytest.mark.parametrize("argv", [
+        ["realize", "--left", "1024^32768", "--right", "32768^1024"],
+        ["check-pair", "--left", "1024^32768", "--right", "32768^1024", "--realize", "--json"],
+    ], ids=["realize", "check-pair-realize-json"])
+    def test_edge_list_of_2_25_edges(self, argv):
+        # K(32768, 1024): 0.3 to 0.4 GB of answer to os.devnull, in 32,768
+        # runs of 1,024 edges.
+        proc = subprocess.run([sys.executable, "-c", ANSWER_GROWTH, *argv], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, timeout=120, check=True)
+        code, growth = map(int, proc.stderr.split())
+        assert code == 0
+        assert growth <= 32 * 1024
 
     def test_realize_json(self):
         left, right = graphic_pair_text(2000, 0.05, seed=11)

@@ -147,13 +147,9 @@ def both_paths(text, strict):
 # bound, after numpy is loaded and one short text is parsed, and prints the
 # refusal or the entries' count and sum, and how far the parse raised VmHWM,
 # the peak resident set, in KiB.
-PARSE_GROWTH = """
+PARSE_GROWTH = helpers.PEAK_KIB + """
 import sys
 import bgseq.cli as cli
-
-def peak_kib():
-    with open("/proc/self/status") as status:
-        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
 bound, item, count, tail = sys.argv[1:]
 cli.MAX_INPUT = int(bound)
@@ -219,6 +215,28 @@ class TestSequenceInputPath:
         assert refusal == message
         assert len(message.encode()) < 100
         assert growth < mib * 2**20
+
+    @pytest.mark.parametrize("text,size,value", [
+        (" 1000," * (MAX_INPUT - 1) + " 1000", MAX_INPUT, 1000),
+        (f"5^{MAX_INPUT}", MAX_INPUT, 5),
+        (" 1000," * 349_568 + " 1000", 349_569, 1000),
+    ], ids=["spaced", "one-run", "spaced-349569"])
+    def test_text_that_is_not_plain_peaks_near_its_entries(self, text, size, value):
+        # Each piece read item by item goes straight into the one array of
+        # entries, sized to the sequence: no piece is kept as an array of its
+        # own and copied into it at the end, and the array is not grown by
+        # doubling: the spaced text has 5,462 items a piece, so 349,569
+        # entries is one past 64 pieces, where a doubling array would hold
+        # nearly twice them.  10 MiB at MAX_INPUT.
+        parse_sequence_arg(" 1,2^2")
+        tracemalloc.start()
+        try:
+            entries = parse_sequence_arg(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert entries.size == size and entries.min() == entries.max() == value
+        assert peak <= 8 * size + 2 * 2**20
 
     def test_plain_text_ending_in_one_run(self):
         # Only the last piece goes through int(); the plain ones before it are

@@ -110,11 +110,10 @@ def parse_sequence_arg(text: str) -> np.ndarray:
     kept as its bounds; any other piece takes one ``int()`` per item, bounds
     a run by MAX_INPUT before it is expanded and names a bad item with its
     position.  The length is bounded by MAX_INPUT before anything sized by
-    it is built.  Plain text is then one ``np.fromstring`` (about 0.3 ms for
-    8,000 entries).  Other text goes into one array of exactly its entries,
-    sized by a pass over its run counts (see _entries_size), a piece as it
-    is read and the plain pieces at the end: the peak is n entries plus one
-    piece's items."""
+    it is built.  Plain text is then one ``np.fromstring``.  Other text goes
+    into one array of exactly its entries, sized by a pass over its run
+    counts (see _entries_size), a piece as it is read and the plain pieces
+    at the end: the peak is n entries plus one piece's items."""
     import numpy as np
 
     plain, length, wide, entries = [], 0, False, None
@@ -392,9 +391,14 @@ def cmd_realize(args) -> int:
     return EXIT_OK
 
 
-def _run_oracle(params: ClassParams, report, budget: int | None):
+def _run_oracle(params: ClassParams, report, budget: int | None, errors: list[str]):
+    """The oracle's outcome and whether it agrees with the criterion.  A
+    disagreement's error line goes to ``errors``, for stderr after the answer."""
     witness = _bound("brute_force_all_graphic")(params, budget=budget)
     agrees = witness.verdict.value == _EXPECTED_ORACLE[report.verdict]
+    if not agrees:
+        errors.append(f"error: criterion verdict {report.verdict.value} disagrees with "
+                      f"oracle verdict {witness.verdict.value} on {params}\n")
     return witness, agrees
 
 
@@ -437,30 +441,25 @@ def cmd_check_class(args) -> int:
     params = _params_from_args(args)
     report = theorem_main(params)
     witness = agrees = None
+    errors = []
     if args.verify:
-        witness, agrees = _run_oracle(params, report, args.budget)
+        witness, agrees = _run_oracle(params, report, args.budget, errors)
     # Only the general branch prints the canonical pair, and only it builds one.
     dec = report.decomposition
     pair = _pair_from(params, dec) if dec is not None else None
     answer = (_class_json if args.json else _class_text)(params, report, pair, witness, agrees)
     sys.stdout.writelines(answer)
-    if witness is not None and not agrees:
-        print(
-            f"error: criterion verdict {report.verdict.value} disagrees with "
-            f"oracle verdict {witness.verdict.value} on {params}",
-            file=sys.stderr,
-        )
-        return EXIT_DISAGREEMENT
-    return VERDICT_EXIT[report.verdict]
+    sys.stderr.writelines(errors)
+    return EXIT_DISAGREEMENT if errors else VERDICT_EXIT[report.verdict]
 
 
-def _sweep_row(formats: dict, params: ClassParams, verify: bool, budget: int | None) -> str:
+def _sweep_row(formats: dict, params: ClassParams, args, errors: list[str]) -> str:
     report = theorem_main(params)
     dec = report.decomposition
     fields = (params.S, report.verdict.value) if dec is None else (
         params.S, *dec, report.lhs, report.rhs, report.verdict.value)
-    if verify:
-        fields += (_JSON_BOOL[_run_oracle(params, report, budget)[1]],)
+    if args.verify:
+        fields += (_JSON_BOOL[_run_oracle(params, report, args.budget, errors)[1]],)
     return formats[report.branch] % fields
 
 
@@ -468,7 +467,8 @@ def cmd_sweep(args) -> int:
     family = (args.a, args.b, args.c, args.d, args.m, args.n)
     span = s_range(*family)
     formats = _sweep_formats(family, args.format == "json", args.verify)
-    rows = (_sweep_row(formats, ClassParams(*family, S), args.verify, args.budget) for S in span)
+    errors = []
+    rows = (_sweep_row(formats, ClassParams(*family, S), args, errors) for S in span)
     if args.verify:
         # Every oracle run must succeed before the first line is written, so
         # a class above the budget leaves stdout empty rather than truncated.
@@ -476,7 +476,8 @@ def cmd_sweep(args) -> int:
     if args.format == "csv":
         rows = chain([",".join(SWEEP_FIELDS + ("oracle_agrees",) * args.verify) + "\n"], rows)
     sys.stdout.writelines(rows)
-    return EXIT_OK
+    sys.stderr.writelines(errors)
+    return EXIT_DISAGREEMENT if errors else EXIT_OK
 
 
 def cmd_canonical(args) -> int:
@@ -540,34 +541,18 @@ class _CommandParser(argparse.ArgumentParser):
     then hands all of them to the command's parser, which classifies them
     again.  That first pass is discarded work, and it cannot fail: the only
     top-level options are -h and --help, so any prefix matches at most one of
-    them.  An argv whose first string is a command name therefore goes
-    straight to that command's parser, and each argv is read once.  Anything
-    else (help, an unknown or abbreviated command, an empty argv) takes
-    argparse's own path, and ``parse_args`` still reports unrecognized
-    arguments with the top-level usage line."""
-
-    def add_subparsers(self, **kwargs):
-        # The commands' parsers are plain ones: argparse would make them of
-        # this class.
-        kwargs.setdefault("parser_class", argparse.ArgumentParser)
-        self._commands = super().add_subparsers(**kwargs)
-        return self._commands
+    them.  An argv whose first string is a command name, parsed into no
+    caller's namespace, therefore goes straight to that command's parser
+    (``_commands``, kept by build_parser), and each argv is read once.
+    Anything else takes argparse's own path, and ``parse_args`` still reports
+    unrecognized arguments with the top-level usage line."""
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
-        command = self._commands.choices.get(args[0]) if args else None
+        command = self._commands.choices.get(args[0]) if args and namespace is None else None
         if command is None:
             return super().parse_known_args(args, namespace)
-        dest = self._commands.dest
-        if namespace is None:
-            return command.parse_known_args(args[1:], argparse.Namespace(**{dest: args[0]}))
-        # A caller's namespace is filled as the subparsers action fills it: the
-        # command's parser fills a fresh one, which is copied over the caller's.
-        parsed, extras = command.parse_known_args(args[1:])
-        setattr(namespace, dest, args[0])
-        for key, value in vars(parsed).items():
-            setattr(namespace, key, value)
-        return namespace, extras
+        return command.parse_known_args(args[1:], argparse.Namespace(**{self._commands.dest: args[0]}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -575,7 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bgseq",
         description="Bipartite graphicality of degree-sequence pairs and parameter classes.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser._commands = parser.add_subparsers(dest="command", required=True,
+                                                        parser_class=argparse.ArgumentParser)
 
     p = commands.add_parser("check-pair", help="test one pair of sequences")
     _add_sequence_opts(p)
@@ -644,11 +630,12 @@ def console_main() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader of stdout left before the whole answer was written.
-        # stdout goes to os.devnull, so the flush at exit cannot fail again.
+    except OSError as exc:
+        # stdout could not take the whole answer: its reader left or a write
+        # failed.  stdout goes to os.devnull, so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before the whole answer was written", file=sys.stderr)
+        why = "was closed" if isinstance(exc, BrokenPipeError) else f"failed ({exc})"
+        print(f"error: stdout {why} before the whole answer was written", file=sys.stderr)
         code = EXIT_INVALID
     sys.exit(code)
 

@@ -233,19 +233,14 @@ def brute_force_all_graphic(params: ClassParams, budget: int | None = None) -> C
     left = _count_side(params.a, params.b, params.m, params.S, limit)
     right = _count_side(params.c, params.d, params.n, params.S, limit)
     if left == 0 or right == 0:
-        size = 0
-    elif left is None or right is None:
-        size = None  # known only to exceed the budget
-    else:
-        size = left * right
-    if size is None or size > limit:
-        held = f"more than {limit}" if size is None else size
+        return ClassWitness(OracleVerdict.EMPTY)
+    # A side counted None is known only to exceed the budget.
+    if left is None or right is None or left * right > limit:
+        held = f"more than {limit}" if left is None or right is None else left * right
         raise OracleBudgetExceeded(
             f"class holds {held} pairs, above the oracle budget {limit}; "
             "pass a larger --budget (budget= in the library) to override"
         )
-    if size == 0:
-        return ClassWitness(OracleVerdict.EMPTY)
     _, prefix, mask = _left_tables(params.a, params.b, params.m, params.S)
     caps = _right_caps(params.c, params.d, params.n, params.S, params.m)
     i, j, k, disagreements = kernels.scan_pairs(prefix, mask, caps, SPOT_STRIDE)

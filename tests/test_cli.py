@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import bgseq.cli as cli
 from bgseq.cli import (
+    EXIT_DISAGREEMENT,
     EXIT_INVALID,
     EXIT_NEGATIVE,
     EXIT_OK,
@@ -22,7 +24,7 @@ from bgseq.cli import (
     main,
     parse_sequence_arg,
 )
-from bgseq import ClassParams, Verdict, s_range, theorem_main
+from bgseq import ClassParams, ClassWitness, OracleVerdict, Verdict, s_range, theorem_main
 from helpers import decode_sweep_csv
 
 
@@ -354,6 +356,23 @@ class TestClosedStdout:
         assert proc.wait(timeout=60) == EXIT_INVALID
         assert err == "error: stdout was closed before the whole answer was written\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "PYTHONUNBUFFERED"])
+    def test_full_device(self, unbuffered):
+        # Every write fails with ENOSPC: one error line naming the OS error
+        # and the invalid-input code, no traceback.
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "bgseq.cli", "check-pair", "--left", "2,2",
+                                   "--right", "2,2"], stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+        err = proc.stderr.decode()
+        assert proc.returncode == EXIT_INVALID
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert err == ("error: stdout failed ([Errno 28] No space left on device) "
+                       "before the whole answer was written\n")
+
 
 class TestArgumentErrors:
     def test_unknown_command(self):
@@ -476,6 +495,50 @@ class TestSweepAllOrNothing:
         assert out == ""
         assert err.startswith("error: class holds 1600 pairs, above the oracle budget 1000")
         assert "--budget" in err
+
+
+class TestVerifyDisagreement:
+    """Under --verify, a class whose oracle verdict is not the criterion's
+    is answered in full, then named on stderr, and the command exits 3.  The
+    oracle here says every class is empty, which only the vacuous ones are."""
+
+    ROWS = {
+        "csv": [
+            HEADER + ",oracle_agrees",
+            "2,1,2,1,3,3,3,false,,,,,,,vacuous,true",
+            "2,1,2,1,3,3,4,true,1,1,0,0,4,5,all-graphic,false",
+            "2,1,2,1,3,3,5,true,2,2,0,0,8,9,all-graphic,false",
+            "2,1,2,1,3,3,6,false,,,,,,,vacuous,true",
+        ],
+        "json": [
+            '{"a":2,"b":1,"c":2,"d":1,"m":3,"n":3,"S":3,"nonempty":false,"verdict":"vacuous",'
+            '"oracle_agrees":true}',
+            '{"a":2,"b":1,"c":2,"d":1,"m":3,"n":3,"S":4,"nonempty":true,"r":1,"s":1,"p":0,"q":0,'
+            '"lhs":4,"rhs":5,"verdict":"all-graphic","oracle_agrees":false}',
+            '{"a":2,"b":1,"c":2,"d":1,"m":3,"n":3,"S":5,"nonempty":true,"r":2,"s":2,"p":0,"q":0,'
+            '"lhs":8,"rhs":9,"verdict":"all-graphic","oracle_agrees":false}',
+            '{"a":2,"b":1,"c":2,"d":1,"m":3,"n":3,"S":6,"nonempty":false,"verdict":"vacuous",'
+            '"oracle_agrees":true}',
+        ],
+    }
+    ERRORS = "".join(
+        "error: criterion verdict all-graphic disagrees with oracle verdict empty "
+        f"on ClassParams(a=2, b=1, c=2, d=1, m=3, n=3, S={S})\n" for S in (4, 5))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep(self, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "brute_force_all_graphic",
+                            lambda params, budget: ClassWitness(OracleVerdict.EMPTY), raising=False)
+        argv = ["sweep", *_CLASS_3, "--verify", "--format", fmt]
+        out, err, both = io.StringIO(), io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == EXIT_DISAGREEMENT
+        assert out.getvalue() == "".join(line + "\n" for line in self.ROWS[fmt])
+        assert err.getvalue() == self.ERRORS
+        # Written to one stream, the error lines come after the last row.
+        with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+            assert main(argv) == EXIT_DISAGREEMENT
+        assert both.getvalue() == out.getvalue() + err.getvalue()
 
 
 _COMMANDS = ("check-pair", "check-class", "sweep", "canonical", "realize", "symmetric")

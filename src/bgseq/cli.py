@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator
@@ -105,90 +104,73 @@ def parse_sequence_arg(text: str) -> np.ndarray:
     """Parse a comma-separated sequence with optional value^count runs,
     e.g. '4^2,1^2' for 4,4,1,1, into an int64 array.  Values and counts are
     what ``int()`` accepts, and a count is at least 1.  The text is read
-    piece by piece (see _pieces).  A plain piece (ASCII digits and
-    commas, every item 1 to 18 digits) is counted by a few numpy steps and
-    kept as its bounds; any other piece takes one ``int()`` per item, bounds
-    a run by MAX_INPUT before it is expanded and names a bad item with its
-    position.  The length is bounded by MAX_INPUT before anything sized by
-    it is built.  Plain text is then one ``np.fromstring``.  Other text goes
-    into one array of exactly its entries, sized by a pass over its run
-    counts (see _entries_size), a piece as it is read and the plain pieces
-    at the end: the peak is n entries plus one piece's items."""
+    piece by piece (see _pieces), first to check and count it: a plain piece
+    (ASCII digits and commas, every item 1 to 18 digits) is counted by a few
+    numpy steps, and any other piece goes through _read_items.  A value
+    beyond int64, then a length above MAX_INPUT, is refused before anything
+    sized by the length is built.  Plain text is then one ``np.fromstring``.
+    Other text is read a second time, into one array of exactly its entries
+    in piece order: the peak is n entries plus one piece's items."""
     import numpy as np
 
-    plain, length, wide, entries = [], 0, False, None
+    plain, length, wide = [], 0, False  # plain: each piece's count if plain, else None
     for start, stop in _pieces(text):
         count = _plain_count(text[start:stop])
-        if count is not None:
-            plain.append((start, stop, slice(length, length + count)))
-            length += count
-            continue
-        if entries is None:
-            size = _entries_size(text)
-            entries = np.empty(size, dtype=np.int64)
-        items = text[start:stop].split(",")
-        at, values, counts = length, [], []
-        for item in items:
-            head, mark, tail = item.partition("^")
-            try:
-                value, count = int(head), int(tail) if mark else 1
-                if count < 1:
-                    raise ValueError
-            except ValueError:
-                # Items equal to this one fail alike, so the first is this one.
-                index = text.count(",", 0, start) + items.index(item) + 1
-                raise ValueError(f"cannot parse sequence item {item.strip()!r} (item {index})") from None
-            if mark and length + count > MAX_INPUT:
-                raise LimitExceeded(f"sequence length {length + count} exceeds {MAX_INPUT}")
-            length += count
-            if length <= size:
-                values.append(value)
-                counts.append(count)
-            elif not -(1 << 63) <= value < 1 << 63:
-                wide = True
-        # The piece's entries are the running sum of its steps from one value
-        # to the next, each put at its item's first entry: a few numpy passes
-        # over the piece, however its entries fall into runs.  int64 sums
-        # wrap, so each value comes back exactly.
-        counts = np.array(counts, dtype=np.int64)
-        filled = entries[at:at + counts.sum()]
-        filled.fill(0)
-        try:
-            filled[counts.cumsum() - counts] = np.diff(np.array(values, dtype=np.int64), prepend=0)
-        except OverflowError:
-            wide = True
-        np.cumsum(filled, out=filled)
+        plain.append(count)
+        if count is None:
+            values, counts = _read_items(text, start, stop, length)
+            count = sum(counts)
+            wide = wide or not -(1 << 63) <= min(values) <= max(values) < 1 << 63
+        length += count
     if wide:
         raise LimitExceeded(f"entries must not exceed the supported bound {MAX_INPUT}")
     if length > MAX_INPUT:
         raise LimitExceeded(f"sequence length {length} exceeds {MAX_INPUT}")
-    if entries is None:
+    if None not in plain:
         return np.fromstring(text, dtype=np.int64, sep=",")
-    for start, stop, where in plain:
-        entries[where] = np.fromstring(text[start:stop], dtype=np.int64, sep=",")
+    entries, at = np.empty(length, dtype=np.int64), 0
+    for (start, stop), count in zip(_pieces(text), plain):
+        if count is None:
+            # The piece's entries are the running sum of its steps from one
+            # value to the next, each put at its item's first entry: a few
+            # numpy passes over the piece, however its entries fall into
+            # runs.  int64 sums wrap, so each value comes back exactly.
+            values, counts = _read_items(text, start, stop, at)
+            counts = np.array(counts, dtype=np.int64)
+            count = int(counts.sum())  # a Python int, as _read_items adds to it per item
+            filled = entries[at:at + count]
+            filled.fill(0)
+            filled[counts.cumsum() - counts] = np.diff(np.array(values, dtype=np.int64), prepend=0)
+            np.cumsum(filled, out=filled)
+        else:
+            entries[at:at + count] = np.fromstring(text[start:stop], dtype=np.int64, sep=",")
+        at += count
     return entries
 
 
-# A run's count: what follows the first ^ of an item, up to its comma.
-_RUN_COUNT = re.compile(r"\^([^,]*)")
-
-
-def _entries_size(text: str) -> int:
-    """The number of entries of the text, one per item and count - 1 more
-    per run, with one ``int()`` per run a piece at a time; 0 if that is more
-    than MAX_INPUT or a run count is not an int of at least 1.  Text that
-    parses has exactly this many entries.  Text given 0 is refused, by its
-    first bad item or by its length, and keeps no items on the way."""
-    length = text.count(",") + 1
-    try:
-        for start, stop in _pieces(text):
-            counts = list(map(int, _RUN_COUNT.findall(text, start, stop)))
-            if min(counts, default=1) < 1:
-                return 0
-            length += sum(counts) - len(counts)
-    except ValueError:
-        return 0
-    return length if length <= MAX_INPUT else 0
+def _read_items(text: str, start: int, stop: int, length: int) -> tuple[list[int], list[int]]:
+    """The values and counts of the items of text[start:stop], one ``int()``
+    per value and run count.  A bad item is named by its position; a run is
+    bounded by MAX_INPUT where it stands, ``length`` entries coming before
+    the piece."""
+    items = text[start:stop].split(",")
+    values, counts = [], []
+    for item in items:
+        head, mark, tail = item.partition("^")
+        try:
+            value, count = int(head), int(tail) if mark else 1
+            if count < 1:
+                raise ValueError
+        except ValueError:
+            # Items equal to this one fail alike, so the first is this one.
+            index = text.count(",", 0, start) + items.index(item) + 1
+            raise ValueError(f"cannot parse sequence item {item.strip()!r} (item {index})") from None
+        length += count
+        if mark and length > MAX_INPUT:
+            raise LimitExceeded(f"sequence length {length} exceeds {MAX_INPUT}")
+        values.append(value)
+        counts.append(count)
+    return values, counts
 
 
 # Characters of text read at a time; a piece ends at a comma, so each is

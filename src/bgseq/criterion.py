@@ -186,12 +186,12 @@ def canonical_sequence(high: int, low: int, length: int, total: int) -> DegreeSe
     sum: maximal head of `high` entries, one leftover entry, `low` after."""
     if high <= low:
         raise DegenerateClass("requires max > min")
+    high, low, length, total = _check_side_args(high, low, length, total)
     if not _side_nonempty(length, high, low, total):
         raise EmptyClass(
             f"no decreasing length-{length} sequence with max {high}, "
             f"min {low}, sum {total}"
         )
-    high, low, length, total = _check_side_args(high, low, length, total)
     return _canonical_blocks(high, low, length, *_split(high, low, length, total)).expand()
 
 

@@ -348,12 +348,12 @@ class TestClosedStdout:
     def test_reader_leaving_after_one_line(self, argv):
         # The reader closes the pipe after one line, mid-answer: one error
         # line and the invalid-input code, no traceback.
-        proc = subprocess.Popen([sys.executable, "-m", "bgseq.cli", *argv],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        assert proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        assert proc.wait(timeout=60) == EXIT_INVALID
+        with subprocess.Popen([sys.executable, "-m", "bgseq.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == EXIT_INVALID
         assert err == "error: stdout was closed before the whole answer was written\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

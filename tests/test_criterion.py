@@ -305,10 +305,14 @@ class TestCanonicalSequence:
     @pytest.mark.parametrize("args,error,message", [
         ((3, -1, 4, 5), ValueError, "requires min >= 0"),
         ((3, 1, MAX_INPUT + 1, MAX_INPUT + 3), LimitExceeded, f"arguments must not exceed {MAX_INPUT}"),
-    ], ids=["negative-min", "length-past-bound"])
+        ((5, 1, 0, 0), ValueError, "requires length >= 1"),
+        ((5, 1, -2, 3), ValueError, "requires length >= 1"),
+        ((2**21, 1, 3, 7), LimitExceeded, f"arguments must not exceed {MAX_INPUT}"),
+    ], ids=["negative-min", "length-past-bound", "length-0", "negative-length", "empty-max-past-bound"])
     def test_side_arguments_refused(self, args, error, message):
-        # Nonempty shapes whose arguments enum_sequences refuses alike; the
-        # length is checked before anything that long is built.
+        # Arguments that enum_sequences refuses alike, whether or not a
+        # sequence of that shape exists: they are checked before emptiness
+        # is decided, and the length before anything that long is built.
         tracemalloc.start()
         try:
             with pytest.raises(error, match=f"^{message}$"):

@@ -135,6 +135,13 @@ class TestCountClass:
                             list(enum_sequences(A, B, L, S))
                         ), (A, B, L, S)
 
+    def test_side_with_max_below_min_is_empty(self):
+        # No sequence has a max below its min.  With L = 2 the box has no
+        # middle entries, so only the max < min guard tells (2, 3, 2, 5)
+        # from a side of one sequence.  __wrapped__ skips the cache.
+        for side in ((2, 3, 2, 5), (2, 3, 3, 7)):
+            assert _count_side.__wrapped__(*side) == 0, side
+
     def test_capped_count_is_exact_or_above_cap(self, monkeypatch):
         rng = random.Random(7)
         sides = []

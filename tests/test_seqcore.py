@@ -254,12 +254,31 @@ class TestSequenceInputPath:
 
     @pytest.mark.parametrize("bad", ["1" * 20, "2^3", "x"])
     def test_item_past_the_bound_still_counts(self, bad, monkeypatch):
-        # Once items are no longer kept, an entry beyond int64 still outranks
-        # the length, a run still raises where it stands and a bad item is
-        # still named by its position (30,001, three pieces in).
+        # Past the bound, an entry beyond int64 still outranks the length, a
+        # run still raises where it stands and a bad item is still named by
+        # its position (30,001, three pieces in).
         for module in (cli, helpers):
             monkeypatch.setattr(module, "MAX_INPUT", 10_000)
         want, got = both_paths(" 1," * 30_000 + bad, strict=False)
+        assert got == want
+
+    @pytest.mark.parametrize("text", [
+        "9" * 20 + "," + "1," * 40_000 + "x",
+        "9" * 20 + "," + ("1" * 18 + ",") * 4_000 + "2^6000",
+        "1," * 40_000 + "x",
+        "1," * 40_000 + "9" * 20,
+        "2^10001," + "1," * 40_000 + "x",
+    ], ids=["wide-then-bad-item", "wide-then-long-run", "long-plain-then-bad-item",
+            "long-plain-then-wide", "long-run-then-bad-item"])
+    def test_refusal_precedence_across_pieces(self, text, monkeypatch):
+        # A bad item and a run past the bound are refused where they stand,
+        # whatever came before; a value beyond int64 outranks the length.
+        # Each text spans at least three pieces; in [wide-then-long-run],
+        # 18-digit items let the run be what crosses the lowered bound.
+        for module in (cli, helpers):
+            monkeypatch.setattr(module, "MAX_INPUT", 10_000)
+        assert len(list(cli._pieces(text))) >= 3
+        want, got = both_paths(text, strict=False)
         assert got == want
 
     @pytest.mark.parametrize("bad", ["x", "", "1" * 19, " 3", "+3", "3^2", "-1", "1.0"])

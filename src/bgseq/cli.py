@@ -10,7 +10,8 @@ first use, ``gale_ryser``, ``realize`` and ``brute_force_all_graphic``.  The
 class commands without ``--verify`` never load it.  An answer is written,
 once its verdict and any realization are complete, by one
 ``sys.stdout.writelines`` over its pieces: each JSON object and CSV row from
-a fixed format for its shape, each sequence and edge list run by run.
+a fixed format for its shape, each sequence and edge list run by run, a
+long run in pieces (see _PIECE).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterator
 
 from .criterion import (
@@ -220,16 +221,29 @@ def format_runs(seq: DegreeSequence | BlockForm) -> str:
     return ",".join(str(v) if c == 1 else f"{v}^{c}" for v, c in blocks.blocks)
 
 
+# Characters of answer text made at a time: a longer sequence run is written
+# in repeats of at most this many characters, and an edge list in runs of at
+# most _PIECE // 8 edges, so an answer holds its runs and one piece.
+_PIECE = 1 << 14
+
+
 def _json_runs(blocks: BlockForm) -> Iterator[str]:
     """A sequence given by its runs as a JSON array, one string repetition
-    per run: O(n) bytes for n entries plus one Python step per run, one run
-    held at a time.  A decreasing sequence with sum T has at most
-    floor(sqrt(2T)) + 1 runs."""
+    per run and, past _PIECE characters, per piece of the run: O(n) bytes
+    for n entries plus one Python step per run.  A decreasing sequence with
+    sum T has at most floor(sqrt(2T)) + 1 runs."""
     *head, (v, c) = blocks.blocks
+    head.append((v, c - 1))
+    short = _PIECE // 8  # entries are at most MAX_INPUT: a cell is at most 8 characters
     yield "["
     for w, k in head:
-        yield f"{w}," * k
-    yield f"{v}," * (c - 1)
+        if k <= short:
+            yield f"{w}," * k
+        else:
+            cell = f"{w},"
+            per = _PIECE // len(cell)
+            yield from repeat(cell * per, k // per)
+            yield cell * (k % per)
     yield f"{v}]"
 
 
@@ -297,30 +311,42 @@ def _load_pair(args):
 
 
 def _edge_runs(real: BipartiteRealization) -> Iterator[tuple[int, list[str]]]:
-    # Each run of right ends of one left vertex, with those ends as text: a
-    # run's labels are one slice of a list of labels up to the largest right
-    # end, not of every right vertex.  The runs' columns are read through
-    # memoryviews, which make their ints one run at a time.
+    # Each run of right ends of one left vertex, as text, in runs of at most
+    # _PIECE // 8 ends: a run's labels are one slice of a list of labels up
+    # to the largest right end, not of every right vertex.  The runs' columns
+    # are read through memoryviews, which make their ints one run at a time.
     runs = real.edge_runs
     labels = list(map(str, range(runs[:, 2].max(initial=0))))
+    step = _PIECE // 8
     for u, lo, hi in zip(*map(memoryview, runs.T)):
+        while hi - lo > step:
+            yield u, labels[lo:lo + step]
+            lo += step
         yield u, labels[lo:hi]
 
 
 def _edges_text(real: BipartiteRealization) -> Iterator[str]:
-    """An edge list as 'u v' lines, one piece per run."""
+    """An edge list as 'u v' lines, two pieces per run: its head, with the
+    line end of the run before, and its joined lines."""
+    end = ""
     for u, cols in _edge_runs(real):
-        yield f"{u} " + f"\n{u} ".join(cols) + "\n"
+        yield f"{end}{u} "
+        yield f"\n{u} ".join(cols)
+        end = "\n"
+    yield end
 
 
 def _edges_json(real: BipartiteRealization) -> Iterator[str]:
-    """An edge list as the JSON member '"edges":[[u,v],...]', one piece per run."""
+    """An edge list as the JSON member '"edges":[[u,v],...]', two pieces per
+    run: its head, with the bracket that closes the run before, and its
+    joined edges."""
     yield '"edges":['
-    comma = ""
+    head, end = "[", "]"
     for u, cols in _edge_runs(real):
-        yield f"{comma}[{u}," + f"],[{u},".join(cols) + "]"
-        comma = ","
-    yield "]"
+        yield f"{head}{u},"
+        yield f"],[{u},".join(cols)
+        head, end = "],[", "]]"
+    yield end
 
 
 def _pair_text(verdict, real: BipartiteRealization | None) -> Iterator[str]:

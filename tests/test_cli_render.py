@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from bgseq import (
     MAX_INPUT,
     BipartiteRealization,
+    BlockForm,
     ClassParams,
     DegreeSequence,
     Verdict,
@@ -25,7 +26,16 @@ from bgseq import (
     theorem_main,
     to_blocks,
 )
-from bgseq.cli import _json_runs, format_runs, main, parse_sequence_arg
+from bgseq.cli import (
+    _PIECE,
+    _edge_runs,
+    _edges_json,
+    _edges_text,
+    _json_runs,
+    format_runs,
+    main,
+    parse_sequence_arg,
+)
 from helpers import (
     PEAK_KIB,
     batch_boundary_pairs,
@@ -95,11 +105,26 @@ print(code, peak_kib() - before, file=sys.stderr)
 
 class TestAnswerPeakMemory:
     """Each answer streams: its pieces are written as they are made, a
-    sequence and an edge list one run at a time, so an answer holds its runs
-    and one run's text, not its own size.  The traced peaks of the large
-    answers stay within bounds set below what one copy of the answer, or the
-    (|E|, 2) edge array, took; the resident growth of a 2^25-edge answer
-    stays flat."""
+    sequence run in repeats of at most _PIECE characters and an edge list in
+    runs of at most _PIECE // 8 edges, so an answer holds its runs and one
+    piece, not its own size.  The traced peaks of the large answers stay
+    within bounds set below what one copy of the answer, or the (|E|, 2)
+    edge array, took; the resident growth of a 2^25-edge answer stays flat,
+    and that of a class answer whose runs hold 2^20 entries stays below one
+    run's text."""
+
+    @pytest.mark.parametrize("command", ["check-class", "canonical"])
+    def test_class_runs_of_2_20_entries(self, command):
+        # E = (3^349525, 1^1, 0^699050), the same for F: 4.2 MB of JSON
+        # answer to os.devnull, of which the text of the run of zeros alone
+        # is 1.4 MB.
+        m = 1 << 20
+        argv = class_argv(command, ClassParams(3, 0, 3, 0, m, m, m)) + ["--json"]
+        proc = subprocess.run([sys.executable, "-c", ANSWER_GROWTH, *argv], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, timeout=120, check=True)
+        code, growth = map(int, proc.stderr.split())
+        assert code == 0
+        assert growth <= 512
 
     @pytest.mark.parametrize("argv", [
         ["realize", "--left", "1024^32768", "--right", "32768^1024"],
@@ -170,6 +195,23 @@ class TestEdgeRendering:
         assert {(False, True, False), (True, True, True), (True, False, True),
                 (True, False, False)} <= shapes
 
+    @pytest.mark.parametrize("left,right", [
+        ("65536^16", "16^65536"), ("2048^3", "3^2048"),
+        ("2049^3", "3^2049"), ("4097^2,1", "3,2^4096"),
+    ])
+    def test_runs_over_a_piece_are_cut(self, left, right):
+        # A run of more than _PIECE // 8 edges is written as consecutive runs
+        # of at most that many, to the bytes of a plain rendering of the
+        # realization's runs; a run of exactly that many stays whole.
+        real = realize(*(DegreeSequence(parse_sequence_arg(side)) for side in (left, right)))
+        edges = [(u, v) for u, lo, hi in real.edge_runs.tolist() for v in range(lo, hi)]
+        assert max(hi - lo for _, lo, hi in real.edge_runs.tolist()) >= _PIECE // 8
+        cut = list(_edge_runs(real))
+        assert [(u, int(v)) for u, cols in cut for v in cols] == edges
+        assert max(len(cols) for _, cols in cut) <= _PIECE // 8
+        assert "".join(_edges_text(real)) == "".join(f"{u} {v}\n" for u, v in edges)
+        assert "".join(_edges_json(real)) == '"edges":' + json.dumps(edges, separators=(",", ":"))
+
     def test_real_pipe_matches_in_process_answers(self):
         # Answers written in pieces through the TextIOWrapper of a real
         # process's stdout: the bytes are those of an in-process call, and
@@ -201,7 +243,33 @@ class TestEdgeRendering:
             assert out == expected
 
 
+@st.composite
+def long_run_blocks(draw):
+    """BlockForms of one to four runs, cells of 2 to 8 characters, each run
+    either short or up to three pieces long, with counts drawn near whole
+    pieces as often as anywhere."""
+    digits = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4))
+    values = sorted({draw(st.integers(10 ** (d - 1) if d > 1 else 0, min(10**d - 1, MAX_INPUT)))
+                     for d in digits}, reverse=True)
+    blocks = []
+    for v in values:
+        per = _PIECE // len(f"{v},")
+        count = draw(st.one_of(st.integers(1, 3 * per),
+                               st.builds(lambda j, step: max(1, j * per + step),
+                                         st.integers(0, 3), st.integers(-1, 1))))
+        blocks.append((v, count))
+    return BlockForm(tuple(blocks))
+
+
 class TestJsonRuns:
+    @settings(max_examples=60, deadline=None)
+    @given(long_run_blocks())
+    def test_long_runs_are_written_in_pieces(self, blocks):
+        pieces = list(_json_runs(blocks))
+        expanded = [v for v, c in blocks.blocks for _ in range(c)]
+        assert "".join(pieces) == json.dumps(expanded, separators=(",", ":"))
+        assert max(map(len, pieces)) <= _PIECE
+
     def test_matches_json_dumps(self):
         rng = np.random.default_rng(21)
         arrays = [np.array([v]) for v in (0, 7, 10, MAX_INPUT)] + [np.zeros(9, dtype=np.int64)]

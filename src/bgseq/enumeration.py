@@ -3,10 +3,15 @@
 ``enum_sequences`` streams every decreasing sequence with prescribed length,
 max, min and sum in reverse-lexicographic order (most spread-out first, which
 is where non-graphic witnesses concentrate).  ``brute_force_all_graphic``
-scans the full Cartesian product of a class with the strong-index test,
-spot-validated against the full dominance test; it is the independent ground
-truth the closed-form criterion is verified against, so it deliberately
-shares no code path with ``theorem_main``.
+decides a class from every sequence of both sides: by Gale-Ryser it is
+all-graphic iff, at every k, the largest k-prefix sum over the left side L is
+at most the smallest cap sum over the right side R.  One walk of each side
+in blocks builds those two vectors in O(|L| * m + |R| * (m + n)) time, with
+memory one block and its table (``BLOCK_CELLS`` cells, or one row and its
+table if longer), plus each side's spot sample (``SPOT_CELLS`` cells, or one
+row), plus the caches, cleared once they hold ``CACHE_BYTES``.  The oracle
+is the independent ground truth the closed-form criterion is verified
+against, so it deliberately shares no code path with ``theorem_main``.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import operator
 from enum import Enum
 from functools import lru_cache
+from itertools import chain, islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -28,7 +34,6 @@ __all__ = [
     "WitnessPair",
     "ClassWitness",
     "DEFAULT_ORACLE_BUDGET",
-    "SPOT_STRIDE",
     "enum_sequences",
     "enum_class",
     "count_class",
@@ -42,8 +47,17 @@ DEFAULT_ORACLE_BUDGET = 10**7
 # count_class refuses them.
 EXACT_COUNT_STEPS = 1 << 20
 
-# Every 1000th scanned pair is re-tested with the full dominance check.
-SPOT_STRIDE = 1000
+# The oracle walks a side in int64 blocks of this many cells, with their
+# tables (one row at least), so its memory does not grow with the side.
+BLOCK_CELLS = 1 << 16
+
+# Each side's spot sample: every step-th row, at most this many table cells.
+SPOT_CELLS = 1 << 10
+
+# The oracle's caches are cleared together once the arrays they made hold
+# more than this many bytes.
+CACHE_BYTES = 1 << 23
+_cache_bytes = 0
 
 
 class OracleVerdict(Enum):
@@ -194,38 +208,101 @@ def count_class(params: ClassParams) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _side_matrix(A: int, B: int, L: int, S: int) -> np.ndarray:
-    rows = list(_walk(A, B, L, S))
-    arr = np.array(rows, dtype=np.int64).reshape(len(rows), L)
-    assert arr.shape[0] == _count_side(A, B, L, S, cap=arr.shape[0])
-    arr.setflags(write=False)
-    return arr
+def _side_matrix(A: int, B: int, L: int, S: int, rows: int) -> np.ndarray:
+    """The side's first ``rows`` rows (all of them if fewer), as int64."""
+    flat = np.fromiter(chain.from_iterable(islice(_walk(A, B, L, S), rows)), np.int64)
+    return _held(flat.reshape(-1, L))[0]
+
+
+def _side_blocks(A: int, B: int, L: int, S: int, count: int, width: int):
+    """The side's ``count`` rows in order, as (first row index, int64 block)
+    pairs; a block and its ``width``-column table hold at most
+    ``BLOCK_CELLS`` cells (one row at least).  The first block is cached."""
+    rows = max(1, BLOCK_CELLS // (L + width))
+    rest = chain.from_iterable(islice(_walk(A, B, L, S), rows, None))
+    for lo in range(0, count, rows):
+        yield lo, (_side_matrix(A, B, L, S, rows) if lo == 0 else
+                   np.fromiter(rest, np.int64, min(rows, count - lo) * L).reshape(-1, L))
+
+
+def _reduce(A: int, B: int, L: int, S: int, count: int, width: int, table, pick):
+    # One walk of the side: the per-k `pick` (np.maximum or np.minimum) of
+    # its rows' tables, the tables of its spot sample (every step-th row, at
+    # most SPOT_CELLS cells, one row at least) and the step.
+    step, spots = -(-count // max(1, SPOT_CELLS // width)), []
+    for lo, block in _side_blocks(A, B, L, S, count, width):
+        rows = table(block)
+        acc = pick.reduce(rows) if lo == 0 else pick(acc, pick.reduce(rows))
+        spots.append(rows[-lo % step :: step].copy())
+    assert lo + len(rows) == count
+    return (*_held(acc, np.concatenate(spots)), step)
 
 
 @lru_cache(maxsize=4096)
-def _left_tables(A: int, B: int, L: int, S: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    seqs = _side_matrix(A, B, L, S)
-    prefix = kernels.prefix_sum_rows(seqs)
-    mask = kernels.boundary_mask_rows(seqs)
-    prefix.setflags(write=False)
-    mask.setflags(write=False)
-    return seqs, prefix, mask
+def _left_tables(A: int, B: int, L: int, S: int, count: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per-k maximum of the side's prefix sums, its spot sample's and the sample's step."""
+    return _reduce(A, B, L, S, count, L, kernels.prefix_sum_rows, np.maximum)
 
 
 @lru_cache(maxsize=32768)
-def _right_caps(A: int, B: int, L: int, S: int, kmax: int) -> np.ndarray:
-    caps = kernels.cap_sum_rows(_side_matrix(A, B, L, S), kmax)
-    caps.setflags(write=False)
-    return caps
+def _right_caps(A: int, B: int, L: int, S: int, kmax: int,
+                count: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per-k minimum of the side's cap sums, its spot sample's and the sample's step."""
+    return _reduce(A, B, L, S, count, kmax, lambda block: kernels.cap_sum_rows(block, kmax),
+                   np.minimum)
+
+
+def _held(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    # Arrays the caches keep: read-only, and counted against CACHE_BYTES,
+    # past which all three caches start again empty.
+    global _cache_bytes
+    if _cache_bytes > CACHE_BYTES:
+        for cache in (_side_matrix, _left_tables, _right_caps):
+            cache.cache_clear()
+        _cache_bytes = 0
+    for arr in arrays:
+        arr.setflags(write=False)
+        _cache_bytes += arr.nbytes
+    return arrays
+
+
+def _tables(A: int, B: int, L: int, S: int, count: int, width: int, table, spots, step: int):
+    # (first row index, block, its table) over the side; a side that its spot
+    # sample holds whole (step 1) has every table there already.
+    for lo, block in _side_blocks(A, B, L, S, count, width):
+        yield lo, block, spots[lo : lo + len(block)] if step == 1 else table(block)
+
+
+def _first_failure(params: ClassParams, caps_min: np.ndarray, left: int, right: int):
+    # (i, j, k, e, f) of the first failing pair, from a second walk of each
+    # side: left row e = i is the first whose prefix sums exceed caps_min
+    # somewhere, right row f = j the first that e fails against, at strong
+    # index k (the smallest).  None if either is missing.
+    a, b, c, d, m, n, S = params
+    lefts = _tables(a, b, m, S, left, m, kernels.prefix_sum_rows, *_left_tables(a, b, m, S, left)[1:])
+    for lo, block, prefix in lefts:
+        r = kernels.scan_pairs(prefix, None, caps_min[None])[0]
+        if r >= 0:
+            mask = kernels.boundary_mask_rows(block[r : r + 1])
+            rights = _tables(c, d, n, S, right, m, lambda block: kernels.cap_sum_rows(block, m),
+                             *_right_caps(c, d, n, S, m, right)[1:])
+            for lo_r, block_r, caps in rights:
+                _, j, k = kernels.scan_pairs(prefix[r : r + 1], mask, caps)
+                if j >= 0:
+                    return lo + r, lo_r + j, k, block[r].copy(), block_r[j].copy()
+            return None
+    return None
 
 
 def brute_force_all_graphic(params: ClassParams, budget: int | None = None) -> ClassWitness:
-    """Definitional check of the class: test every pair.
+    """Definitional check of the class, from every sequence of both sides.
 
-    Scans the Cartesian product in enumeration order with the strong-index
-    kernel, spot-validating a deterministic 1-in-1000 subsample against the
-    full dominance test.  Refuses classes above the pair budget, and a
-    negative budget with ValueError.
+    All-graphic iff no left prefix sum exceeds the smallest right cap sum at
+    its k (Gale-Ryser); else the first failing pair in enumeration order and
+    its smallest violated strong index.  The product of the two sides' spot
+    samples is tested with the full dominance test against that answer, up
+    to the witness.  Refuses classes above the pair budget, and a negative
+    budget with ValueError.
     """
     limit = DEFAULT_ORACLE_BUDGET if budget is None else operator.index(budget)
     if limit < 0:
@@ -241,22 +318,22 @@ def brute_force_all_graphic(params: ClassParams, budget: int | None = None) -> C
             f"class holds {held} pairs, above the oracle budget {limit}; "
             "pass a larger --budget (budget= in the library) to override"
         )
-    _, prefix, mask = _left_tables(params.a, params.b, params.m, params.S)
-    caps = _right_caps(params.c, params.d, params.n, params.S, params.m)
-    i, j, k, disagreements = kernels.scan_pairs(prefix, mask, caps, SPOT_STRIDE)
-    if disagreements:
-        raise RuntimeError(
-            "strong-index test disagreed with the full dominance test "
-            f"{disagreements} time(s) on {params}; this is a bug"
-        )
-    if i < 0:
+    a, b, c, d, m, n, S = params
+    prefix_max, left_spots, left_step = _left_tables(a, b, m, S, left)
+    caps_min, right_spots, right_step = _right_caps(c, d, n, S, m, right)
+    passes = not (prefix_max > caps_min).any()
+    # Spot checks: no sampled pair before the witness may fail the full
+    # test.  An all-graphic class's stand-in, pair (left, 0), is past them all.
+    first = (left, 0) if passes else _first_failure(params, caps_min, left, right)
+    si, sj, _ = kernels.scan_pairs(left_spots, None, right_spots)
+    if first is None or si >= 0 and (si * left_step, sj * right_step) < first[:2]:
+        raise RuntimeError("the per-side reductions disagreed with the full dominance test "
+                           f"on {params}; this is a bug")
+    if passes:
         return ClassWitness(OracleVerdict.ALL_GRAPHIC)
-    lefts = _side_matrix(params.a, params.b, params.m, params.S)
-    rights = _side_matrix(params.c, params.d, params.n, params.S)
-    left = DegreeSequence._from_trusted(lefts[i])
-    right = DegreeSequence._from_trusted(rights[j])
+    left, right = DegreeSequence._from_trusted(first[3]), DegreeSequence._from_trusted(first[4])
     # Self-certification: the witness must fail the scalar tests the same way.
     scalar = zz_check(left, right)
-    assert not scalar.graphic and scalar.failing_k == k
+    assert not scalar.graphic and scalar.failing_k == first[2]
     assert not gale_ryser(left, right).graphic
-    return ClassWitness(OracleVerdict.FOUND_NON_GRAPHIC, WitnessPair(left, right, k))
+    return ClassWitness(OracleVerdict.FOUND_NON_GRAPHIC, WitnessPair(left, right, first[2]))

@@ -4,9 +4,13 @@ Matrix conventions: one sequence per row, entries nonnegative and decreasing
 left to right, dtype int64.  All k indices reported to callers are 1-based.
 For a rows x width matrix, ``prefix_sum_rows`` and ``boundary_mask_rows``
 take O(rows * width) time and ``cap_sum_rows`` O(rows * (width + kmax)) time
-and memory.  ``scan_pairs`` takes O(nl * nr * width) time in the worst case;
-it compares blocks of left rows with every right row at once, the blocks
-sized so that rows * nr * width <= ``SCAN_BLOCK_CELLS`` (one row at least).
+and memory.  ``scan_pairs`` is one compare of every left row with every
+right row, O(nl * nr * width) time and memory.  The oracle calls these on
+one block of a side at a time, and ``scan_pairs`` on a block against one
+row of caps, on one row against a block, or on its two spot samples, so a
+class of sides L and R with lengths m and n costs O(|L| * m + |R| * (m + n))
+time, in memory set by the block and sample sizes in ``enumeration``, not by
+the class.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ __all__ = [
 
 # numpy is the only backend; the flag stays for callers that report it.
 USING_NUMBA = False
-
-SCAN_BLOCK_CELLS = 1 << 21
 
 
 def prefix_sum_rows(seqs: np.ndarray) -> np.ndarray:
@@ -57,36 +59,19 @@ def boundary_mask_rows(seqs: np.ndarray) -> np.ndarray:
     return seqs > nxt
 
 
-def scan_pairs(prefix_l: np.ndarray, mask_l: np.ndarray, caps_r: np.ndarray,
-               spot_stride: int) -> tuple[int, int, int, int]:
-    """Scan all pairs in row-major order using the strong-index test, with
-    ``mask_l`` the left rows' ``boundary_mask_rows``.
-
-    Returns (i, j, k, disagreements) for the first failing pair, with k the
-    smallest violated strong index of left row i against right row j, or
-    (-1, -1, -1, disagreements) when every pair passes.  Every
-    ``spot_stride``-th pair, from pair 0 up to the first failure, is
-    re-tested with the full dominance check (all k, not just strong indices);
-    ``disagreements`` counts verdict mismatches and must come back 0.  Each
-    block holds two block-sized boolean arrays, the full compare and its
-    strong-index part, and its spot checks are strided rows of the first.
+def scan_pairs(prefix_l: np.ndarray, mask_l: np.ndarray | None,
+               caps_r: np.ndarray) -> tuple[int, int, int]:
+    """First failing pair in row-major order, left rows by their prefix sums
+    against right rows by their cap sums: (i, j, k) with k the smallest index
+    at which prefix_l[i] exceeds caps_r[j], or (-1, -1, -1) when every pair
+    passes.  With ``mask_l`` (the left rows' ``boundary_mask_rows``) only
+    strong indices are tested; with None, every k (the full dominance test).
     """
-    nl, width = prefix_l.shape
-    nr = caps_r.shape[0]
-    block = max(1, SCAN_BLOCK_CELLS // max(1, nr * width))
-    disagreements = 0
-    for lo in range(0, nl, block):
-        below = caps_r[None, :, :] < prefix_l[lo : lo + block, None, :]
-        fail = below & mask_l[lo : lo + block, None, :]
-        has = fail.any(axis=2).ravel()
-        hit = int(np.argmax(has)) if has.any() else -1
-        if spot_stride > 0:
-            stop = has.size if hit < 0 else hit + 1
-            spots = slice((-(lo * nr)) % spot_stride, stop, spot_stride)
-            full = below.reshape(-1, width)[spots].any(axis=1)
-            disagreements += int(np.count_nonzero(full != has[spots]))
-        if hit >= 0:
-            bi, j = divmod(hit, nr)
-            k = int(np.argmax(fail[bi, j])) + 1
-            return lo + bi, j, k, disagreements
-    return -1, -1, -1, disagreements
+    fail = caps_r[None, :, :] < prefix_l[:, None, :]
+    if mask_l is not None:
+        fail &= mask_l[:, None, :]
+    has = fail.any(axis=2)
+    if not has.any():
+        return -1, -1, -1
+    i, j = divmod(int(has.argmax()), has.shape[1])
+    return i, j, int(fail[i, j].argmax()) + 1

@@ -34,7 +34,7 @@ from bgseq import (
 )
 from bgseq.cli import VERDICT_EXIT, main
 from bgseq.criterion import MIN_TERM_NAMES
-from bgseq.enumeration import OracleVerdict, _left_tables, _right_caps
+from bgseq.enumeration import OracleVerdict, _count_side, _left_tables, _right_caps
 from helpers import (
     all_decreasing,
     decode_sweep_csv,
@@ -101,15 +101,17 @@ def test_02_canonical_pair_reduction(grid_results):
         # The canonical pair alone decides the whole class.
         assert gale_ryser(pair.E, pair.F).graphic == oracle_all, params
 
-        # Claim (i): E prefix-dominates every left member.
-        _, prefix, _ = _left_tables(params.a, params.b, params.m, params.S)
-        prefix_e = np.cumsum(pair.E.values)
-        assert np.all(prefix <= prefix_e[None, :]), params
+        # The oracle's per-side reductions are the canonical pair's sums.
+        # Claim (i): E has the largest prefix sums of the left side at every k.
+        left = _count_side(params.a, params.b, params.m, params.S)
+        prefix_max = _left_tables(params.a, params.b, params.m, params.S, left)[0]
+        assert np.array_equal(prefix_max, np.cumsum(pair.E.values)), params
 
-        # Claim (ii): F has the smallest min-cap sums for every k <= m.
-        caps = _right_caps(params.c, params.d, params.n, params.S, params.m)
+        # Claim (ii): F has the smallest min-cap sums of the right side for every k <= m.
+        right = _count_side(params.c, params.d, params.n, params.S)
+        caps_min = _right_caps(params.c, params.d, params.n, params.S, params.m, right)[0]
         caps_f = kernels.cap_sum_rows(pair.F.values.reshape(1, -1), params.m)[0]
-        assert np.all(caps_f[None, :] <= caps), params
+        assert np.array_equal(caps_min, caps_f), params
         checked += 1
     print(f"ACCEPTANCE 2 canonical-pair reduction: PASS ({checked} classes)")
 

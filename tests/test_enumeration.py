@@ -1,8 +1,13 @@
 """Class generation, counting, and the brute-force oracle."""
 
 import random
+import subprocess
+import sys
 import time
+from functools import lru_cache
 from itertools import combinations_with_replacement
+
+import numpy as np
 
 import pytest
 
@@ -17,10 +22,11 @@ from bgseq import (
     count_class,
     enum_class,
     enum_sequences,
+    zz_check,
 )
 import bgseq.enumeration as enumeration
 from bgseq.enumeration import _count_side
-from helpers import grid_params, min_cap_sum
+from helpers import PEAK_KIB, grid_params, min_cap_sum
 
 
 def tuples(it):
@@ -223,6 +229,156 @@ class TestBruteForce:
         first = brute_force_all_graphic(params)
         second = brute_force_all_graphic(params)
         assert first == second
+
+
+@lru_cache
+def first_failing_pair(params):
+    """Scalar reference: the class's first pair in enumeration order that
+    zz_check rejects, with its failing k, or None."""
+    for e, f in enum_class(params):
+        verdict = zz_check(e, f)
+        if not verdict.graphic:
+            return e.as_tuple(), f.as_tuple(), verdict.failing_k
+    return None
+
+
+def oracle_pair(params):
+    w = brute_force_all_graphic(params, budget=count_class(params))
+    return None if w.witness is None else (w.witness.left.as_tuple(), w.witness.right.as_tuple(),
+                                           w.witness.failing_k)
+
+
+@pytest.fixture
+def fresh_caches():
+    caches = (enumeration._side_matrix, enumeration._left_tables, enumeration._right_caps)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def side_rows(A, B, L, S):
+    return np.array([seq.values for seq in enum_sequences(A, B, L, S)], dtype=np.int64)
+
+
+class TestSideReductions:
+    """The oracle decides a class from one walk of each side in blocks, and
+    finds its witness from a second walk."""
+
+    # Sides of 12 to 221 sequences, three classes not all-graphic.
+    CLASSES = [ClassParams(6, 3, 10, 2, 10, 10, 47), ClassParams(8, 0, 7, 4, 10, 10, 53),
+               ClassParams(7, 0, 7, 2, 10, 8, 28), ClassParams(6, 2, 7, 0, 8, 10, 28),
+               ClassParams(6, 3, 8, 0, 10, 9, 43)]
+
+    def test_classes_span_blocks_and_verdicts(self):
+        sides = [(_count_side(p.a, p.b, p.m, p.S), _count_side(p.c, p.d, p.n, p.S))
+                 for p in self.CLASSES]
+        assert min(map(min, sides)) >= 12 and max(map(max, sides)) >= 200
+        assert [first_failing_pair(p) is None for p in self.CLASSES] == [True, True, False, False, False]
+
+    @pytest.mark.parametrize("block_cells,spot_cells", [(1, 1), (7, 3), (40, 16), (300, 100)])
+    def test_small_blocks_match_scalar_reference(self, monkeypatch, fresh_caches,
+                                                 block_cells, spot_cells):
+        monkeypatch.setattr(enumeration, "BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(enumeration, "SPOT_CELLS", spot_cells)
+        for params in self.CLASSES:
+            assert oracle_pair(params) == first_failing_pair(params), params
+
+    @pytest.mark.parametrize("block_cells", [1, 40, 1 << 16])
+    def test_witness_search_past_the_first_rows(self, monkeypatch, fresh_caches, block_cells):
+        # On a real class the first pair fails whenever any does (it is the
+        # canonical pair), so lower per-k minimum caps stand in for the right
+        # side: the largest prefix sums of the first t left rows.  The first
+        # left row above them and its first failing right row must match a
+        # scalar search.
+        monkeypatch.setattr(enumeration, "BLOCK_CELLS", block_cells)
+        for params in self.CLASSES:
+            a, b, c, d, m, n, S = params
+            lefts, rights = side_rows(a, b, m, S), side_rows(c, d, n, S)
+            prefix = np.cumsum(lefts, axis=1)
+            for t in range(1, len(lefts), 7):
+                caps_min = prefix[:t].max(axis=0)
+                got = enumeration._first_failure(params, caps_min, len(lefts), len(rights))
+                above = np.flatnonzero((prefix > caps_min).any(axis=1))
+                want = None
+                if above.size:
+                    e = DegreeSequence(lefts[above[0]])
+                    fails = [(j, v.failing_k) for j, f in enumerate(rights)
+                             if not (v := zz_check(e, DegreeSequence(f))).graphic]
+                    if fails:
+                        want = (int(above[0]), *fails[0], e.as_tuple(), tuple(rights[fails[0][0]]))
+                if got is not None:
+                    got = (*got[:3], tuple(got[3]), tuple(got[4]))
+                assert got == want, (params, t)
+
+    @pytest.mark.parametrize("side,delta", [("_left_tables", -1), ("_left_tables", 1),
+                                            ("_right_caps", -1), ("_right_caps", 1)])
+    def test_off_by_one_reduction_raises(self, monkeypatch, fresh_caches, side, delta):
+        # Every class of the limit-4 grid fits in one spot sample, so the
+        # spot checks cover every pair: a vector one off either leaves the
+        # answer right or raises.
+        reduce = getattr(enumeration, side)
+
+        def off_by_one(*args):
+            vector, *rest = reduce(*args)
+            return vector + delta, *rest
+
+        off_by_one.cache_clear = reduce.cache_clear
+        monkeypatch.setattr(enumeration, side, off_by_one)
+        raised = 0
+        for params in grid_params(4):
+            if not class_nonempty(params):
+                continue
+            try:
+                got = oracle_pair(params)
+            except RuntimeError as exc:
+                assert "disagreed with the full dominance test" in str(exc)
+                raised += 1
+            else:
+                assert got == first_failing_pair(params), params
+        assert raised > 0
+
+
+# Runs bgseq.cli.main on argv[1:] in a fresh interpreter limited to 1 GiB of
+# address space, with stdout to wherever the caller points it, and prints to
+# stderr the exit code and the process's peak resident set (VmHWM) in KiB.
+ORACLE_PEAK = PEAK_KIB + """
+import resource
+import sys
+
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from bgseq.cli import main
+
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(code, peak_kib(), file=sys.stderr)
+"""
+
+
+def oracle_peak_kib(*argv):
+    proc = subprocess.run([sys.executable, "-c", ORACLE_PEAK, *argv], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, timeout=300, check=True)
+    code, peak = map(int, proc.stderr.split())
+    assert code == 0
+    return peak
+
+
+class TestOracleMemory:
+    """The oracle holds one block of a side, two spot samples and caches of
+    bounded size, not the class."""
+
+    def test_sweep_of_one_pair_classes(self):
+        # 2,048 classes of one pair each, both sides of length 2,048.
+        assert oracle_peak_kib("sweep", "-a", "2", "-b", "1", "-c", "2", "-d", "1",
+                               "-m", "2048", "-n", "2048", "--verify") <= 64 * 1024
+
+    @pytest.mark.wide_grid
+    def test_class_of_two_million_pairs(self):
+        # A left side of 1,943,488 sequences of length 26 against one right
+        # sequence.
+        assert oracle_peak_kib("check-class", "-a", "11", "-b", "1", "-c", "2", "-d", "1",
+                               "-m", "26", "-n", "100", "-S", "156", "--verify") <= 128 * 1024
 
 
 class TestBudget:

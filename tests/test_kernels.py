@@ -1,12 +1,11 @@
-"""Array kernels: cap tables, strong-index masks and the blocked pair scan,
-each against a direct definition."""
+"""Array kernels: cap tables, strong-index masks and the pair compare, each
+against a direct definition."""
 
 import numpy as np
 import pytest
 
 import bgseq.kernels as kernels
-from bgseq import ClassParams, DegreeSequence, zz_check
-from bgseq.enumeration import _side_matrix
+from bgseq import ClassParams, DegreeSequence, enum_sequences, gale_ryser, zz_check
 
 
 def random_decreasing_matrix(rng, rows, width, max_val, allow_zero=True):
@@ -52,40 +51,10 @@ class TestBoundaryMask:
         assert mask[2].tolist() == [0, 0, 1]
 
 
-def class_tables(params: ClassParams):
-    lefts = _side_matrix(params.a, params.b, params.m, params.S)
-    rights = _side_matrix(params.c, params.d, params.n, params.S)
-    prefix = kernels.prefix_sum_rows(lefts)
-    mask = kernels.boundary_mask_rows(lefts)
-    caps = kernels.cap_sum_rows(rights, params.m)
-    return lefts, rights, prefix, mask, caps
-
-
-def dense_scan(prefix, mask, caps, stride):
-    """The scan without blocks: first failing pair of the full comparison in
-    row-major order, and spot disagreements among pairs 0, stride, ... up to it."""
-    nr, width = caps.shape
-    viol = (caps[None] < prefix[:, None]).reshape(-1, width)
-    fail = viol & np.repeat(mask.astype(bool), nr, axis=0)
-    has = fail.any(axis=1)
-    hit = int(np.argmax(has)) if has.any() else -1
-    spots = np.arange(0, has.size if hit < 0 else hit + 1, stride) if stride else np.arange(0)
-    disagreements = int(np.count_nonzero(viol[spots].any(axis=1) != has[spots]))
-    first = (*divmod(hit, nr), int(np.argmax(fail[hit])) + 1) if hit >= 0 else (-1, -1, -1)
-    return (*first, disagreements)
-
-
-def synthetic_tables(rng, nl, nr, width, first_bad):
-    """Rows before ``first_bad`` pass (entries <= 3 against rights >= 3, for
-    width >= 3); later rows have entries up to 4*width, and every other one,
-    from ``first_bad`` on, loses its mask so the spot checks disagree."""
-    lefts = random_decreasing_matrix(rng, nl, width, 3, allow_zero=False)
-    lefts[first_bad:] = random_decreasing_matrix(rng, nl - first_bad, width, 4 * width)
-    rights = random_decreasing_matrix(rng, nr, width, width)
-    np.maximum(rights, 3, out=rights)
-    mask = kernels.boundary_mask_rows(lefts)
-    mask[first_bad::2] = 0
-    return kernels.prefix_sum_rows(lefts), mask, kernels.cap_sum_rows(rights, width)
+def side_matrix(A, B, L, S):
+    """Every sequence of one side, one per row, in enumeration order."""
+    rows = [seq.values for seq in enum_sequences(A, B, L, S)]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), L)
 
 
 SCAN_CASES = [
@@ -94,62 +63,31 @@ SCAN_CASES = [
     ClassParams(5, 2, 4, 1, 6, 6, 14),
     ClassParams(3, 1, 3, 1, 5, 5, 9),
     ClassParams(6, 1, 6, 1, 6, 6, 21),
+    ClassParams(6, 0, 5, 0, 6, 6, 12),
 ]
 
 
 class TestScanPairs:
-    @pytest.mark.parametrize("stride", [0, 1, 3, 1000])
+    @pytest.mark.parametrize("strong", [True, False], ids=["zz_check", "gale_ryser"])
     @pytest.mark.parametrize("params", SCAN_CASES, ids=str)
-    def test_matches_scalar_reference(self, params, stride):
-        lefts, rights, prefix, mask, caps = class_tables(params)
-        i, j, k, disagreements = kernels.scan_pairs(prefix, mask, caps, stride)
-        assert disagreements == 0
+    def test_matches_scalar_reference(self, params, strong):
+        lefts = side_matrix(params.a, params.b, params.m, params.S)
+        rights = side_matrix(params.c, params.d, params.n, params.S)
+        mask = kernels.boundary_mask_rows(lefts) if strong else None
+        got = kernels.scan_pairs(kernels.prefix_sum_rows(lefts), mask,
+                                 kernels.cap_sum_rows(rights, params.m))
 
+        scalar = zz_check if strong else gale_ryser
         expected = (-1, -1, -1)
         for li in range(lefts.shape[0]):
             left = DegreeSequence(lefts[li].copy())
             hit = None
             for rj in range(rights.shape[0]):
-                verdict = zz_check(left, DegreeSequence(rights[rj].copy()))
+                verdict = scalar(left, DegreeSequence(rights[rj].copy()))
                 if not verdict.graphic:
                     hit = (li, rj, verdict.failing_k)
                     break
             if hit:
                 expected = hit
                 break
-        assert (i, j, k) == expected
-
-    def test_matches_dense_reference_across_blocks(self):
-        nr, width = 50, 10
-        late = 2 * (kernels.SCAN_BLOCK_CELLS // (nr * width)) + 7  # in the third block
-        prefix, mask, caps = synthetic_tables(np.random.default_rng(4), late + 3000, nr, width, late)
-        got = {stride: kernels.scan_pairs(prefix, mask, caps, stride) for stride in (0, 1, 997)}
-        assert got == {stride: dense_scan(prefix, mask, caps, stride) for stride in got}
-        assert got[0][0] > late and got[1][3] > 0
-        passing = prefix[:late], mask[:late], caps
-        assert kernels.scan_pairs(*passing, 997) == dense_scan(*passing, 997) == (-1, -1, -1, 0)
-
-    def test_matches_dense_reference_with_small_blocks(self, monkeypatch):
-        rng = np.random.default_rng(6)
-        for cells in (1, 7, 40, 300):
-            monkeypatch.setattr(kernels, "SCAN_BLOCK_CELLS", cells)
-            for _ in range(40):
-                nl, nr, width = (int(v) for v in rng.integers(1, 30, size=3))
-                prefix, mask, caps = synthetic_tables(
-                    rng, nl, nr, width, first_bad=int(rng.integers(0, nl + 1))
-                )
-                for stride in (0, 1, 3, 11):
-                    want = dense_scan(prefix, mask, caps, stride)
-                    assert kernels.scan_pairs(prefix, mask, caps, stride) == want
-
-    def test_spot_check_sees_no_disagreement(self):
-        for params in SCAN_CASES:
-            _, _, prefix, mask, caps = class_tables(params)
-            assert kernels.scan_pairs(prefix, mask, caps, 1)[3] == 0
-
-    def test_spot_check_catches_dropped_strong_index(self):
-        _, _, prefix, mask, caps = class_tables(SCAN_CASES[0])
-        i, _, k, _ = kernels.scan_pairs(prefix, mask, caps, 1)
-        broken = mask.copy()
-        broken[i, k - 1] = 0
-        assert kernels.scan_pairs(prefix, broken, caps, 1)[3] > 0
+        assert got == expected

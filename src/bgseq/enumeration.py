@@ -207,31 +207,37 @@ def count_class(params: ClassParams) -> int:
     return left * _count_side(params.c, params.d, params.n, params.S)
 
 
+def _table(block: np.ndarray, kmax: int | None) -> np.ndarray:
+    # The rows' prefix sums, or with kmax their cap sums up to kmax.
+    return kernels.prefix_sum_rows(block) if kmax is None else kernels.cap_sum_rows(block, kmax)
+
+
 @lru_cache(maxsize=4096)
-def _side_matrix(A: int, B: int, L: int, S: int, rows: int) -> np.ndarray:
-    """The side's first ``rows`` rows (all of them if fewer), as int64."""
-    flat = np.fromiter(chain.from_iterable(islice(_walk(A, B, L, S), rows)), np.int64)
-    return _held(flat.reshape(-1, L))[0]
+def _side_matrix(A: int, B: int, L: int, S: int, rows: int, kmax: int | None):
+    """The side's first ``rows`` rows (all of them if fewer), as int64, and their table."""
+    block = np.fromiter(chain.from_iterable(islice(_walk(A, B, L, S), rows)), np.int64).reshape(-1, L)
+    return _held(block, _table(block, kmax))
 
 
-def _side_blocks(A: int, B: int, L: int, S: int, count: int, width: int):
-    """The side's ``count`` rows in order, as (first row index, int64 block)
-    pairs; a block and its ``width``-column table hold at most
-    ``BLOCK_CELLS`` cells (one row at least).  The first block is cached."""
-    rows = max(1, BLOCK_CELLS // (L + width))
+def _side_tables(A: int, B: int, L: int, S: int, count: int, kmax: int | None = None):
+    """The side's ``count`` rows in order, as (first row index, int64 block,
+    its table) triples, the table as in ``_table``.  A block and its table
+    hold at most ``BLOCK_CELLS`` cells (one row at least).  The first block
+    and its table are cached."""
+    rows = max(1, BLOCK_CELLS // (L + (L if kmax is None else kmax)))
+    yield 0, *_side_matrix(A, B, L, S, rows, kmax)
     rest = chain.from_iterable(islice(_walk(A, B, L, S), rows, None))
-    for lo in range(0, count, rows):
-        yield lo, (_side_matrix(A, B, L, S, rows) if lo == 0 else
-                   np.fromiter(rest, np.int64, min(rows, count - lo) * L).reshape(-1, L))
+    for lo in range(rows, count, rows):
+        block = np.fromiter(rest, np.int64, min(rows, count - lo) * L).reshape(-1, L)
+        yield lo, block, _table(block, kmax)
 
 
-def _reduce(A: int, B: int, L: int, S: int, count: int, width: int, table, pick):
+def _reduce(A: int, B: int, L: int, S: int, count: int, kmax: int | None, pick):
     # One walk of the side: the per-k `pick` (np.maximum or np.minimum) of
     # its rows' tables, the tables of its spot sample (every step-th row, at
     # most SPOT_CELLS cells, one row at least) and the step.
-    step, spots = -(-count // max(1, SPOT_CELLS // width)), []
-    for lo, block in _side_blocks(A, B, L, S, count, width):
-        rows = table(block)
+    step, spots = -(-count // max(1, SPOT_CELLS // (L if kmax is None else kmax))), []
+    for lo, _, rows in _side_tables(A, B, L, S, count, kmax):
         acc = pick.reduce(rows) if lo == 0 else pick(acc, pick.reduce(rows))
         spots.append(rows[-lo % step :: step].copy())
     assert lo + len(rows) == count
@@ -241,15 +247,14 @@ def _reduce(A: int, B: int, L: int, S: int, count: int, width: int, table, pick)
 @lru_cache(maxsize=4096)
 def _left_tables(A: int, B: int, L: int, S: int, count: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Per-k maximum of the side's prefix sums, its spot sample's and the sample's step."""
-    return _reduce(A, B, L, S, count, L, kernels.prefix_sum_rows, np.maximum)
+    return _reduce(A, B, L, S, count, None, np.maximum)
 
 
 @lru_cache(maxsize=32768)
 def _right_caps(A: int, B: int, L: int, S: int, kmax: int,
                 count: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Per-k minimum of the side's cap sums, its spot sample's and the sample's step."""
-    return _reduce(A, B, L, S, count, kmax, lambda block: kernels.cap_sum_rows(block, kmax),
-                   np.minimum)
+    return _reduce(A, B, L, S, count, kmax, np.minimum)
 
 
 def _held(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -266,32 +271,23 @@ def _held(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _tables(A: int, B: int, L: int, S: int, count: int, width: int, table, spots, step: int):
-    # (first row index, block, its table) over the side; a side that its spot
-    # sample holds whole (step 1) has every table there already.
-    for lo, block in _side_blocks(A, B, L, S, count, width):
-        yield lo, block, spots[lo : lo + len(block)] if step == 1 else table(block)
-
-
 def _first_failure(params: ClassParams, caps_min: np.ndarray, left: int, right: int):
-    # (i, j, k, e, f) of the first failing pair, from a second walk of each
-    # side: left row e = i is the first whose prefix sums exceed caps_min
-    # somewhere, right row f = j the first that e fails against, at strong
-    # index k (the smallest).  None if either is missing.
+    # (i, j, witness) of the first failing pair, from a second walk of each
+    # side: left row i is the first whose prefix sums exceed caps_min
+    # somewhere, right row j the first that row i fails against, at strong
+    # index k (the smallest).  (left, 0, None), past every pair, if none fails.
     a, b, c, d, m, n, S = params
-    lefts = _tables(a, b, m, S, left, m, kernels.prefix_sum_rows, *_left_tables(a, b, m, S, left)[1:])
-    for lo, block, prefix in lefts:
+    for lo, block, prefix in _side_tables(a, b, m, S, left):
         r = kernels.scan_pairs(prefix, None, caps_min[None])[0]
         if r >= 0:
             mask = kernels.boundary_mask_rows(block[r : r + 1])
-            rights = _tables(c, d, n, S, right, m, lambda block: kernels.cap_sum_rows(block, m),
-                             *_right_caps(c, d, n, S, m, right)[1:])
-            for lo_r, block_r, caps in rights:
+            for lo_r, block_r, caps in _side_tables(c, d, n, S, right, m):
                 _, j, k = kernels.scan_pairs(prefix[r : r + 1], mask, caps)
                 if j >= 0:
-                    return lo + r, lo_r + j, k, block[r].copy(), block_r[j].copy()
-            return None
-    return None
+                    e, f = (DegreeSequence._from_trusted(row.copy()) for row in (block[r], block_r[j]))
+                    return lo + r, lo_r + j, WitnessPair(e, f, k)
+            break
+    return left, 0, None
 
 
 def brute_force_all_graphic(params: ClassParams, budget: int | None = None) -> ClassWitness:
@@ -322,18 +318,17 @@ def brute_force_all_graphic(params: ClassParams, budget: int | None = None) -> C
     prefix_max, left_spots, left_step = _left_tables(a, b, m, S, left)
     caps_min, right_spots, right_step = _right_caps(c, d, n, S, m, right)
     passes = not (prefix_max > caps_min).any()
-    # Spot checks: no sampled pair before the witness may fail the full
-    # test.  An all-graphic class's stand-in, pair (left, 0), is past them all.
-    first = (left, 0) if passes else _first_failure(params, caps_min, left, right)
+    i, j, witness = (left, 0, None) if passes else _first_failure(params, caps_min, left, right)
+    # Spot checks: no sampled pair before the first failing one, (i, j), may
+    # fail the full test.
     si, sj, _ = kernels.scan_pairs(left_spots, None, right_spots)
-    if first is None or si >= 0 and (si * left_step, sj * right_step) < first[:2]:
+    if (witness is None) != passes or si >= 0 and (si * left_step, sj * right_step) < (i, j):
         raise RuntimeError("the per-side reductions disagreed with the full dominance test "
                            f"on {params}; this is a bug")
     if passes:
         return ClassWitness(OracleVerdict.ALL_GRAPHIC)
-    left, right = DegreeSequence._from_trusted(first[3]), DegreeSequence._from_trusted(first[4])
     # Self-certification: the witness must fail the scalar tests the same way.
-    scalar = zz_check(left, right)
-    assert not scalar.graphic and scalar.failing_k == first[2]
-    assert not gale_ryser(left, right).graphic
-    return ClassWitness(OracleVerdict.FOUND_NON_GRAPHIC, WitnessPair(left, right, first[2]))
+    scalar = zz_check(witness.left, witness.right)
+    assert not scalar.graphic and scalar.failing_k == witness.failing_k
+    assert not gale_ryser(witness.left, witness.right).graphic
+    return ClassWitness(OracleVerdict.FOUND_NON_GRAPHIC, witness)

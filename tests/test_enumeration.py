@@ -299,7 +299,7 @@ class TestSideReductions:
             prefix = np.cumsum(lefts, axis=1)
             for t in range(1, len(lefts), 7):
                 caps_min = prefix[:t].max(axis=0)
-                got = enumeration._first_failure(params, caps_min, len(lefts), len(rights))
+                i, j, witness = enumeration._first_failure(params, caps_min, len(lefts), len(rights))
                 above = np.flatnonzero((prefix > caps_min).any(axis=1))
                 want = None
                 if above.size:
@@ -308,9 +308,9 @@ class TestSideReductions:
                              if not (v := zz_check(e, DegreeSequence(f))).graphic]
                     if fails:
                         want = (int(above[0]), *fails[0], e.as_tuple(), tuple(rights[fails[0][0]]))
-                if got is not None:
-                    got = (*got[:3], tuple(got[3]), tuple(got[4]))
-                assert got == want, (params, t)
+                got = (i, j) if witness is None else (
+                    i, j, witness.failing_k, witness.left.as_tuple(), witness.right.as_tuple())
+                assert got == (want or (len(lefts), 0)), (params, t)
 
     @pytest.mark.parametrize("side,delta", [("_left_tables", -1), ("_left_tables", 1),
                                             ("_right_caps", -1), ("_right_caps", 1)])

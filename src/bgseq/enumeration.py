@@ -240,7 +240,8 @@ def _reduce(A: int, B: int, L: int, S: int, count: int, kmax: int | None, pick):
     for lo, _, rows in _side_tables(A, B, L, S, count, kmax):
         acc = pick.reduce(rows) if lo == 0 else pick(acc, pick.reduce(rows))
         spots.append(rows[-lo % step :: step].copy())
-    assert lo + len(rows) == count
+    if lo + len(rows) != count:
+        raise RuntimeError(f"walked {lo + len(rows)} rows of a side counted {count}; this is a bug")
     return (*_held(acc, np.concatenate(spots)), step)
 
 
@@ -278,8 +279,9 @@ def _first_failure(params: ClassParams, caps_min: np.ndarray, left: int, right: 
     # index k (the smallest).  (left, 0, None), past every pair, if none fails.
     a, b, c, d, m, n, S = params
     for lo, block, prefix in _side_tables(a, b, m, S, left):
-        r = kernels.scan_pairs(prefix, None, caps_min[None])[0]
-        if r >= 0:
+        over = prefix > caps_min
+        r, t = divmod(int(over.argmax()), m)
+        if over[r, t]:
             mask = kernels.boundary_mask_rows(block[r : r + 1])
             for lo_r, block_r, caps in _side_tables(c, d, n, S, right, m):
                 _, j, k = kernels.scan_pairs(prefix[r : r + 1], mask, caps)
@@ -327,8 +329,7 @@ def brute_force_all_graphic(params: ClassParams, budget: int | None = None) -> C
                            f"on {params}; this is a bug")
     if passes:
         return ClassWitness(OracleVerdict.ALL_GRAPHIC)
-    # Self-certification: the witness must fail the scalar tests the same way.
-    scalar = zz_check(witness.left, witness.right)
-    assert not scalar.graphic and scalar.failing_k == witness.failing_k
-    assert not gale_ryser(witness.left, witness.right).graphic
+    # Self-certification: both scalar tests must fail the witness, zz_check at its k.
+    if zz_check(*witness[:2]).failing_k != witness.failing_k or gale_ryser(*witness[:2]).graphic:
+        raise RuntimeError(f"the scalar tests disagreed with the witness on {params}; this is a bug")
     return ClassWitness(OracleVerdict.FOUND_NON_GRAPHIC, witness)

@@ -49,18 +49,17 @@ class PairVerdict(NamedTuple):
 
 
 def _first_violation(x: DegreeSequence, y: DegreeSequence, strong: bool) -> PairVerdict:
-    # Smallest k, among the strong indices of x when ``strong``, with
-    # prefix_k(x) > sum_i min(k, y_i).  Zero entries need no stripping: the
-    # mask excludes the zero tail of x, and zeros of y add nothing to caps.
-    if x.total != y.total:
+    # viol's first set entry, if any, is the smallest k (a strong index of x
+    # when ``strong``) with prefix_k(x) > sum_i min(k, y_i).  Zeros need no
+    # stripping: the mask skips x's zero tail; y's zeros add nothing to caps.
+    prefix = np.add.accumulate(x.values)
+    if prefix[-1] != y.values.sum():
         return PairVerdict(False, None, False)
-    caps = kernels.cap_sum_rows(y.values.reshape(1, -1), len(x))[0]
-    viol = np.cumsum(x.values) > caps
+    viol = prefix > kernels.cap_sum_rows(y.values.reshape(1, -1), prefix.size)[0]
     if strong:
         viol &= kernels.boundary_mask_rows(x.values.reshape(1, -1))[0]
-    if viol.any():
-        return PairVerdict(False, int(np.argmax(viol)) + 1, True)
-    return PairVerdict(True, None, True)
+    k = int(viol.argmax())
+    return PairVerdict(False, k + 1, True) if viol[k] else PairVerdict(True, None, True)
 
 
 def gale_ryser(e: DegreeSequence, f: DegreeSequence) -> PairVerdict:

@@ -208,8 +208,8 @@ def to_blocks(x: DegreeSequence) -> BlockForm:
     cut = np.empty(v.size + 1, dtype=bool)
     cut[0] = cut[-1] = True
     np.not_equal(v[1:], v[:-1], out=cut[1:-1])
-    bounds = np.flatnonzero(cut)
-    return BlockForm(tuple(zip(v[bounds[:-1]].tolist(), np.diff(bounds).tolist())))
+    bounds = cut.nonzero()[0]
+    return BlockForm(tuple(zip(v[bounds[:-1]].tolist(), (bounds[1:] - bounds[:-1]).tolist())))
 
 
 class _ClassFields(NamedTuple):

@@ -26,6 +26,7 @@ from bgseq import (
 )
 import bgseq.enumeration as enumeration
 from bgseq.enumeration import _count_side
+from bgseq.galeryser import PairVerdict
 from helpers import PEAK_KIB, grid_params, min_cap_sum
 
 
@@ -338,6 +339,57 @@ class TestSideReductions:
             else:
                 assert got == first_failing_pair(params), params
         assert raised > 0
+
+
+def shifted_zz_check(x, y, zz_check=zz_check):
+    verdict = zz_check(x, y)
+    return verdict._replace(failing_k=verdict.failing_k + 1)
+
+
+# The same check under ``python -O``, which strips assert statements.
+OPTIMIZED_CHECK = """
+import bgseq.enumeration as enumeration
+from bgseq import ClassParams
+
+def shifted_zz_check(x, y, zz_check=enumeration.zz_check):
+    verdict = zz_check(x, y)
+    return verdict._replace(failing_k=verdict.failing_k + 1)
+
+assert False, "this script runs under python -O"
+enumeration.zz_check = shifted_zz_check
+try:
+    enumeration.brute_force_all_graphic(ClassParams(4, 1, 4, 1, 4, 4, 10))
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+class TestSelfChecks:
+    """The oracle's own checks raise RuntimeError, not AssertionError, so
+    ``python -O`` keeps them."""
+
+    PARAMS = ClassParams(4, 1, 4, 1, 4, 4, 10)
+
+    def test_witness_failing_at_another_k_raises(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "zz_check", shifted_zz_check)
+        with pytest.raises(RuntimeError, match="scalar tests disagreed with the witness.*this is a bug"):
+            brute_force_all_graphic(self.PARAMS)
+
+    def test_witness_passing_gale_ryser_raises(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "gale_ryser", lambda e, f: PairVerdict(True, None, True))
+        with pytest.raises(RuntimeError, match="scalar tests disagreed with the witness.*this is a bug"):
+            brute_force_all_graphic(self.PARAMS)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_side_walked_short_or_long_raises(self, delta):
+        count = _count_side(4, 1, 4, 10)
+        with pytest.raises(RuntimeError, match=f"rows of a side counted {count + delta}; this is a bug"):
+            enumeration._reduce(4, 1, 4, 10, count + delta, None, np.maximum)
+
+    def test_checks_survive_optimize(self):
+        proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECK],
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert "this is a bug" in proc.stdout, proc.stderr
 
 
 # Runs bgseq.cli.main on argv[1:] in a fresh interpreter limited to 1 GiB of

@@ -57,6 +57,17 @@ def side_matrix(A, B, L, S):
     return np.array(rows, dtype=np.int64).reshape(len(rows), L)
 
 
+def first_failing_cell(prefix, mask, caps):
+    """Scalar reference for scan_pairs: the first (i, j, k) in row-major
+    order with prefix[i, k-1] > caps[j, k-1], at masked k when a mask is given."""
+    for i in range(prefix.shape[0]):
+        for j in range(caps.shape[0]):
+            for k in range(prefix.shape[1]):
+                if (mask is None or mask[i, k]) and prefix[i, k] > caps[j, k]:
+                    return i, j, k + 1
+    return -1, -1, -1
+
+
 SCAN_CASES = [
     ClassParams(4, 1, 4, 1, 4, 4, 10),
     ClassParams(5, 1, 5, 1, 6, 6, 16),
@@ -91,3 +102,20 @@ class TestScanPairs:
                 expected = hit
                 break
         assert got == expected
+
+    @pytest.mark.parametrize("masked", [True, False], ids=["masked", "unmasked"])
+    def test_matches_double_loop_on_random_shapes(self, masked):
+        # 0 to 6 rows on either side; left and right rows of 1 to 6 entries.
+        rng = np.random.default_rng(20261022)
+        outcomes = set()
+        for _ in range(400):
+            nl, nr, width, right_width = (int(v) for v in rng.integers((0, 0, 1, 1), 7))
+            lefts = random_decreasing_matrix(rng, nl, width, 6)
+            prefix = kernels.prefix_sum_rows(lefts)
+            mask = kernels.boundary_mask_rows(lefts) if masked else None
+            caps = kernels.cap_sum_rows(random_decreasing_matrix(rng, nr, right_width, 6), width)
+            got = kernels.scan_pairs(prefix, mask, caps)
+            assert got == first_failing_cell(prefix, mask, caps), (lefts, caps)
+            assert all(type(v) is int for v in got)
+            outcomes.add((min(nl, nr) == 0, got[0] >= 0))
+        assert outcomes == {(True, False), (False, False), (False, True)}
